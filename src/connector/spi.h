@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "columnar/batch.h"
+#include "exec/plan_executor.h"
 #include "metastore/metastore.h"
 #include "substrait/expr.h"
 #include "substrait/rel.h"
@@ -171,13 +172,11 @@ struct PageSourceStats {
 };
 
 // Streams pages (record batches) for one split, with pushed operators
-// already applied by whatever the connector talks to.
-class PageSource {
+// already applied by whatever the connector talks to. A page source is an
+// exec::BatchSource (schema() and Next(), nullptr at end of stream), so
+// the engine runs its residual operators over it with exec::ExecuteRel.
+class PageSource : public exec::BatchSource {
  public:
-  virtual ~PageSource() = default;
-  virtual columnar::SchemaPtr schema() const = 0;
-  // nullptr at end of stream.
-  virtual Result<columnar::RecordBatchPtr> Next() = 0;
   virtual const PageSourceStats& stats() const = 0;
 };
 
@@ -235,7 +234,10 @@ class Connector {
 // One named stage or operator of a query with its timing and row flow
 // (QueryStats::operator_timings). Stage names are stable identifiers:
 // "parse", "plan_analysis", "ir_generation", "scan_transfer",
-// "post_scan", plus "merge.<op>" for each merge-stage operator.
+// "post_scan", plus one "merge.<RelKind>" entry (e.g. "merge.Aggregate",
+// "merge.Sort", "merge.Fetch") per operator kind of the merge-stage rel
+// chain. A Fetch fused into a top-N is timed under "merge.Sort"; its own
+// entry then reads zero.
 struct OperatorTiming {
   std::string name;
   double seconds = 0;
@@ -310,10 +312,6 @@ struct QueryEvent {
   std::string connector_id;
   std::vector<PushdownDecision> decisions;
   QueryStats stats;
-  // Legacy aliases of stats fields, kept for existing listeners.
-  uint64_t bytes_from_storage = 0;
-  uint64_t rows_from_storage = 0;
-  double execution_seconds = 0;
 };
 
 class EventListener {

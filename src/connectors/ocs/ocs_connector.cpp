@@ -613,30 +613,28 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
   std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
   stats->row_groups_total += reader->num_row_groups();
 
-  exec::ScanFactory factory =
-      [&reader, stats, version = *object_version](const substrait::Rel& r)
-      -> Result<std::unique_ptr<exec::BatchSource>> {
-    if (!reader->schema()->Equals(*r.base_schema)) {
-      return Status::InvalidArgument("ocs fallback: plan schema != object");
-    }
-    POCS_ASSIGN_OR_RETURN(SchemaPtr scan_schema, substrait::OutputSchema(r));
-    std::unique_ptr<exec::BatchSource> source =
-        std::make_unique<LocalObjectSource>(reader, r.read_columns,
-                                            std::move(scan_schema));
-    // Honour the pushed join-key bloom under the same version-pin rule as
-    // the storage node: applied only when the pin matches the bytes this
-    // fallback just fetched, skipped wholesale otherwise.
-    if (!r.bloom_words.empty() && r.bloom_version != 0 &&
-        r.bloom_version == version) {
-      source = std::make_unique<exec::BloomFilterSource>(
-          std::move(source), r.bloom_words, r.bloom_hashes, r.bloom_seed,
-          r.bloom_column, &stats->bloom_rows_pruned);
-    }
-    return source;
-  };
+  const substrait::Rel* read = plan.root.get();
+  while (read->input) read = read->input.get();
+  if (read->kind != substrait::RelKind::kRead ||
+      !reader->schema()->Equals(*read->base_schema)) {
+    return Status::InvalidArgument("ocs fallback: plan schema != object");
+  }
+  POCS_ASSIGN_OR_RETURN(SchemaPtr scan_schema, substrait::OutputSchema(*read));
+  std::unique_ptr<exec::BatchSource> source =
+      std::make_unique<LocalObjectSource>(reader, read->read_columns,
+                                          std::move(scan_schema));
+  // Honour the pushed join-key bloom under the same version-pin rule as
+  // the storage node: applied only when the pin matches the bytes this
+  // fallback just fetched, skipped wholesale otherwise.
+  if (!read->bloom_words.empty() && read->bloom_version != 0 &&
+      read->bloom_version == *object_version) {
+    source = std::make_unique<exec::BloomFilterSource>(
+        std::move(source), read->bloom_words, read->bloom_hashes,
+        read->bloom_seed, read->bloom_column, &stats->bloom_rows_pruned);
+  }
   exec::ExecStats exec_stats;
   POCS_ASSIGN_OR_RETURN(auto table,
-                        exec::ExecuteRel(*plan.root, factory, &exec_stats));
+                        exec::ExecuteRel(*plan.root, *source, &exec_stats));
   stats->rows_scanned += exec_stats.rows_scanned;
   // Fallback execution is compute-side work, like decode.
   stats->decode_seconds += exec_timer.ElapsedSeconds();

@@ -18,7 +18,7 @@ void PushdownHistory::Recompute() {
       ++stats.offered;
       if (decision.accepted) ++stats.accepted;
     }
-    total_bytes_ += static_cast<double>(event.bytes_from_storage);
+    total_bytes_ += static_cast<double>(event.stats.bytes_from_storage);
   }
 }
 

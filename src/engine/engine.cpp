@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <unordered_map>
 
@@ -11,9 +12,10 @@
 #include "engine/optimizer.h"
 #include "engine/two_phase.h"
 #include "exec/hash_aggregator.h"
-#include "exec/sorter.h"
+#include "exec/plan_executor.h"
 #include "sql/parser.h"
 #include "substrait/eval.h"
+#include "substrait/rel.h"
 
 namespace pocs::engine {
 
@@ -47,13 +49,17 @@ void QueryEngine::AddEventListener(
 
 namespace {
 
+using substrait::Rel;
+using substrait::RelKind;
+
 struct SplitOutput {
   std::shared_ptr<Table> data;
   PageSourceStats stats;
-  double compute_seconds = 0;  // residual compute-side work, measured
+  double compute_seconds = 0;  // residual operator time (ExecStats)
   Status status;
 };
 
+// Post-join projection of the join's fact-side probe loop.
 Result<RecordBatchPtr> ApplyProjectNode(const PlanNode& node,
                                         const columnar::RecordBatch& batch) {
   std::vector<columnar::ColumnPtr> cols;
@@ -73,76 +79,104 @@ struct TicketReleaser {
   }
 };
 
-// One merge-stage node applied to the whole intermediate table. Shared by
-// the linear pipeline and the join path.
-Result<std::shared_ptr<Table>> ApplyMergeNode(const PlanNode& node,
-                                              std::shared_ptr<Table> current) {
+// ---- residual lowering: PlanNode chains → substrait::Rel chains -----------
+// The engine's residual work runs through exec::ExecuteRel, the executor
+// storage and the connector fallback use (DESIGN.md §2).
+
+std::unique_ptr<Rel> StackRel(RelKind kind, std::unique_ptr<Rel> input) {
+  auto rel = std::make_unique<Rel>();
+  rel->kind = kind;
+  rel->input = std::move(input);
+  return rel;
+}
+
+// Schema of the pages a scan node's page sources return.
+SchemaPtr ScanOutputSchema(const PlanNode& scan) {
+  return scan.scan_spec.output_schema ? scan.scan_spec.output_schema
+                                      : scan.output_schema;
+}
+
+// Appends the rel form of one residual node: TopN becomes Sort + Fetch
+// (a bounded top-N when it is the chain's first blocking operator), Limit
+// a Fetch.
+Result<std::unique_ptr<Rel>> LowerNode(const PlanNode& node,
+                                       std::unique_ptr<Rel> chain) {
   switch (node.kind) {
-    case NodeKind::kSort: {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                            exec::SortTable(*current, node.sort_fields));
-      current = std::make_shared<Table>(sorted->schema());
-      current->AppendBatch(std::move(sorted));
-      return current;
-    }
-    case NodeKind::kTopN: {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                            exec::SortTable(*current, node.sort_fields));
-      columnar::SelectionVector head;
-      for (uint32_t r = 0;
-           r < std::min<uint64_t>(sorted->num_rows(), node.limit); ++r) {
-        head.push_back(r);
-      }
-      RecordBatchPtr top = columnar::TakeBatch(*sorted, head);
-      current = std::make_shared<Table>(top->schema());
-      current->AppendBatch(std::move(top));
-      return current;
-    }
+    case NodeKind::kFilter:
+      chain = StackRel(RelKind::kFilter, std::move(chain));
+      chain->predicate = node.predicate;
+      return chain;
+    case NodeKind::kProject:
+      chain = StackRel(RelKind::kProject, std::move(chain));
+      chain->expressions = node.expressions;
+      chain->output_names = node.output_names;
+      return chain;
+    case NodeKind::kSort:
+    case NodeKind::kTopN:
+      chain = StackRel(RelKind::kSort, std::move(chain));
+      chain->sort_fields = node.sort_fields;
+      if (node.kind == NodeKind::kSort) return chain;
+      chain = StackRel(RelKind::kFetch, std::move(chain));
+      chain->count = node.limit;
+      return chain;
     case NodeKind::kLimit:
-      return exec::FetchTable(*current, 0, node.limit);
-    case NodeKind::kProject: {
-      auto next = std::make_shared<Table>(node.output_schema);
-      for (const auto& batch : current->batches()) {
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr projected,
-                              ApplyProjectNode(node, *batch));
-        next->AppendBatch(std::move(projected));
-      }
-      return next;
-    }
-    case NodeKind::kFilter: {
-      auto next = std::make_shared<Table>(current->schema());
-      for (const auto& batch : current->batches()) {
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr filtered,
-                              substrait::FilterBatch(node.predicate, *batch));
-        if (filtered->num_rows() > 0) next->AppendBatch(std::move(filtered));
-      }
-      return next;
-    }
+      chain = StackRel(RelKind::kFetch, std::move(chain));
+      chain->count = node.limit;
+      return chain;
     default:
-      return Status::Internal("unexpected merge-stage node");
+      return Status::Internal("unexpected residual node " +
+                              std::string(NodeKindName(node.kind)));
   }
 }
 
-// Final-phase aggregation + finalize projection (AVG = sum/count) into a
-// one-batch table with the aggregation node's output schema.
-Result<std::shared_ptr<Table>> FinalizeAggTable(
-    const PlanNode& agg_node, exec::HashAggregator* final_agg) {
-  POCS_ASSIGN_OR_RETURN(RecordBatchPtr final_batch, final_agg->Finish());
-  std::vector<Expression> finalize_exprs;
-  std::vector<std::string> finalize_names;
-  FinalizeProjection(agg_node.aggregates, agg_node.group_keys.size(),
-                     *final_batch->schema(), &finalize_exprs, &finalize_names);
-  std::vector<columnar::ColumnPtr> cols;
-  for (const Expression& e : finalize_exprs) {
-    POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                          substrait::Evaluate(e, *final_batch));
-    cols.push_back(std::move(col));
+// `nodes` (bottom → top) over a Read of batches with `input_schema`.
+Result<std::unique_ptr<Rel>> LowerChain(SchemaPtr input_schema,
+                                        const std::vector<PlanNode*>& nodes) {
+  auto chain = std::make_unique<Rel>();
+  chain->base_schema = std::move(input_schema);
+  for (const PlanNode* node : nodes) {
+    POCS_ASSIGN_OR_RETURN(chain, LowerNode(*node, std::move(chain)));
   }
-  RecordBatchPtr finalized =
-      columnar::MakeBatch(agg_node.output_schema, std::move(cols));
-  auto out = std::make_shared<Table>(finalized->schema());
-  out->AppendBatch(std::move(finalized));
-  return out;
+  return chain;
+}
+
+// The engine-side partial phase of `agg` (engine/two_phase.h).
+std::unique_ptr<Rel> PartialAggregate(const PlanNode& agg,
+                                      std::unique_ptr<Rel> chain) {
+  chain = StackRel(RelKind::kAggregate, std::move(chain));
+  chain->group_keys = agg.group_keys;
+  chain->aggregates = PartialAggSpecs(agg.aggregates);
+  chain->agg_phase = substrait::AggPhase::kPartial;
+  return chain;
+}
+
+// The final phase of `agg` over partial rows (group keys first), then the
+// finalize projection that recovers the original outputs (AVG = sum/count).
+Result<std::unique_ptr<Rel>> FinalAggregate(const PlanNode& agg,
+                                            std::unique_ptr<Rel> chain) {
+  const size_t n_keys = agg.group_keys.size();
+  chain = StackRel(RelKind::kAggregate, std::move(chain));
+  for (size_t k = 0; k < n_keys; ++k) {
+    chain->group_keys.push_back(static_cast<int>(k));
+  }
+  chain->aggregates = FinalAggSpecs(agg.aggregates, n_keys);
+  chain->agg_phase = substrait::AggPhase::kFinal;
+  POCS_ASSIGN_OR_RETURN(SchemaPtr final_schema,
+                        substrait::OutputSchema(*chain));
+  chain = StackRel(RelKind::kProject, std::move(chain));
+  FinalizeProjection(agg.aggregates, n_keys, *final_schema,
+                     &chain->expressions, &chain->output_names);
+  return chain;
+}
+
+// Measured operator time of one ExecuteRel run: the residual compute the
+// simulated timing books under post_scan_execution (DESIGN.md §4).
+double OperatorSeconds(const exec::ExecStats& stats) {
+  double seconds = 0;
+  for (const exec::OperatorCounters& oc : stats.operators) {
+    seconds += oc.seconds;
+  }
+  return seconds;
 }
 
 // Sign-extended 64-bit join key for one row; false when the value is null
@@ -162,16 +196,28 @@ bool JoinKeyAt(const columnar::Column& col, size_t row, int64_t* out) {
   }
 }
 
+// Folds split planning's counts into the query metrics and the simulated
+// scan-stage totals.
+void FoldSplitPlan(const connector::SplitPlan& p, QueryMetrics* m,
+                   SplitStageTotals* t) {
+  m->splits += p.splits.size();
+  m->splits_planned += p.splits_planned;
+  m->splits_pruned += p.splits_pruned;
+  m->metadata_cache_hits += p.metadata_cache_hits;
+  m->metadata_cache_misses += p.metadata_cache_misses;
+  m->metadata_cache_stale += p.metadata_cache_stale;
+  m->metadata_cache_errors += p.metadata_cache_errors;
+  t->splits += p.splits.size();
+}
+
 // Folds one page source's stats into the query metrics and the simulated
-// scan-stage totals (join path; the parallel linear path does the same
-// inline so it can also account per-split residual compute).
+// scan-stage totals.
 void FoldSourceStats(const PageSourceStats& s, QueryMetrics* m,
                      SplitStageTotals* t) {
   t->bytes_moved += s.bytes_received + s.bytes_sent;
   t->messages += 2;  // request + response per split
   t->storage_compute_seconds += s.storage_compute_seconds;
   t->media_read_seconds += s.media_read_seconds;
-  t->compute_seconds += s.decode_seconds;
   m->bytes_from_storage += s.bytes_received;
   m->bytes_to_storage += s.bytes_sent;
   m->rows_from_storage += s.rows_received;
@@ -194,9 +240,70 @@ void FoldSourceStats(const PageSourceStats& s, QueryMetrics* m,
   m->rows_late_materialized += s.rows_late_materialized;
 }
 
-// Runs one scan chain (TableScan + residual Filters) sequentially across
-// its splits and collects every surviving row. Used for the join's build
-// (dimension) side, which is small by assumption.
+// The Table 3 stage entries both paths report ahead of the merge stage.
+void PushStageTimings(QueryMetrics* m) {
+  m->operator_timings.push_back(
+      {"plan_analysis", m->logical_plan_analysis, 0, 0});
+  m->operator_timings.push_back({"ir_generation", m->ir_generation, 0, 0});
+  m->operator_timings.push_back({"scan_transfer", m->pushdown_and_transfer,
+                                 m->rows_scanned, m->rows_from_storage});
+}
+
+// The merge stage shared by the linear and join paths. `input` holds
+// partial-aggregate rows (group keys first) when `agg` is set, plain rows
+// otherwise. The final aggregation with its finalize projection, then
+// `nodes`, run as one rel chain through exec::ExecuteRel. Books the
+// operator time under post_scan_execution and records one
+// "merge.<RelKind>" timing per operator kind, then the "post_scan" total.
+Result<std::shared_ptr<Table>> RunMergeStage(
+    std::shared_ptr<Table> input, const PlanNode* agg,
+    const std::vector<PlanNode*>& nodes, QueryMetrics* metrics) {
+  if (agg && agg->group_keys.empty() && input->num_rows() == 0) {
+    // No partial row reached the merge (every split pruned, none planned,
+    // or no probe match): merge the partial state of zero rows, so the
+    // global aggregate reads COUNT = 0 rather than a SUM over nothing.
+    exec::HashAggregator none(input->schema(), {},
+                              PartialAggSpecs(agg->aggregates));
+    POCS_ASSIGN_OR_RETURN(RecordBatchPtr zero_rows, none.Finish());
+    input->AppendBatch(std::move(zero_rows));
+  }
+  auto rel = std::make_unique<Rel>();
+  rel->base_schema = input->schema();
+  if (agg) {
+    POCS_ASSIGN_OR_RETURN(rel, FinalAggregate(*agg, std::move(rel)));
+  }
+  for (const PlanNode* node : nodes) {
+    POCS_ASSIGN_OR_RETURN(rel, LowerNode(*node, std::move(rel)));
+  }
+  exec::TableSource source(std::move(input));
+  exec::ExecStats stats;
+  POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> out,
+                        exec::ExecuteRel(*rel, source, &stats));
+
+  std::array<bool, exec::ExecStats::kNumRelKinds> present{};
+  for (const Rel* r = rel.get(); r->input; r = r->input.get()) {
+    present[static_cast<size_t>(r->kind)] = true;  // every kind but Read
+  }
+  for (size_t k = 0; k < present.size(); ++k) {
+    if (!present[k]) continue;
+    const RelKind kind = static_cast<RelKind>(k);
+    const exec::OperatorCounters& oc = stats.ForKind(kind);
+    metrics->operator_timings.push_back(
+        {"merge." + std::string(substrait::RelKindName(kind)), oc.seconds,
+         oc.rows_in, oc.rows_out});
+  }
+  metrics->post_scan_execution += OperatorSeconds(stats);
+  metrics->operator_timings.push_back({"post_scan",
+                                       metrics->post_scan_execution,
+                                       metrics->rows_from_storage,
+                                       out->num_rows()});
+  return out;
+}
+
+// Runs one scan chain (TableScan + residual nodes) sequentially across
+// its splits through exec::ExecuteRel and collects every surviving row.
+// Used for the join's build (dimension) side, which is small by
+// assumption.
 Result<std::shared_ptr<Table>> RunScanChain(PlanNode* scan,
                                             const std::vector<PlanNode*>& stream,
                                             connector::Connector& conn,
@@ -205,38 +312,22 @@ Result<std::shared_ptr<Table>> RunScanChain(PlanNode* scan,
                                             double* residual) {
   POCS_ASSIGN_OR_RETURN(connector::SplitPlan split_plan,
                         conn.GetSplits(scan->table, scan->scan_spec));
-  metrics->splits += split_plan.splits.size();
-  metrics->splits_planned += split_plan.splits_planned;
-  metrics->splits_pruned += split_plan.splits_pruned;
-  metrics->metadata_cache_hits += split_plan.metadata_cache_hits;
-  metrics->metadata_cache_misses += split_plan.metadata_cache_misses;
-  metrics->metadata_cache_stale += split_plan.metadata_cache_stale;
-  metrics->metadata_cache_errors += split_plan.metadata_cache_errors;
-  totals->splits += split_plan.splits.size();
-
-  SchemaPtr out_schema = stream.empty() ? scan->scan_spec.output_schema
-                                        : stream.back()->output_schema;
-  if (!out_schema) out_schema = scan->output_schema;
+  FoldSplitPlan(split_plan, metrics, totals);
+  POCS_ASSIGN_OR_RETURN(std::unique_ptr<Rel> rel,
+                        LowerChain(ScanOutputSchema(*scan), stream));
+  POCS_ASSIGN_OR_RETURN(SchemaPtr out_schema, substrait::OutputSchema(*rel));
   auto out = std::make_shared<Table>(out_schema);
   for (const connector::Split& split : split_plan.splits) {
     POCS_ASSIGN_OR_RETURN(
         std::unique_ptr<connector::PageSource> source,
         conn.CreatePageSource(scan->table, split, scan->scan_spec));
-    while (true) {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, source->Next());
-      if (!batch) break;
-      Stopwatch batch_timer;
-      for (PlanNode* node : stream) {
-        if (node->kind != NodeKind::kFilter) {
-          return Status::Internal("unexpected node in join build subplan");
-        }
-        POCS_ASSIGN_OR_RETURN(batch,
-                              substrait::FilterBatch(node->predicate, *batch));
-        if (batch->num_rows() == 0) break;
-      }
-      if (batch->num_rows() > 0) out->AppendBatch(batch);
-      *residual += batch_timer.ElapsedSeconds();
+    exec::ExecStats stats;
+    POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> rows,
+                          exec::ExecuteRel(*rel, *source, &stats));
+    for (const RecordBatchPtr& batch : rows->batches()) {
+      out->AppendBatch(batch);
     }
+    *residual += OperatorSeconds(stats);
     FoldSourceStats(source->stats(), metrics, totals);
   }
   return out;
@@ -428,14 +519,7 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
   // bloom to each split object's current version.
   POCS_ASSIGN_OR_RETURN(connector::SplitPlan fact_plan,
                         conn.GetSplits(scan->table, spec));
-  metrics->splits += fact_plan.splits.size();
-  metrics->splits_planned += fact_plan.splits_planned;
-  metrics->splits_pruned += fact_plan.splits_pruned;
-  metrics->metadata_cache_hits += fact_plan.metadata_cache_hits;
-  metrics->metadata_cache_misses += fact_plan.metadata_cache_misses;
-  metrics->metadata_cache_stale += fact_plan.metadata_cache_stale;
-  metrics->metadata_cache_errors += fact_plan.metadata_cache_errors;
-  totals.splits += fact_plan.splits.size();
+  FoldSplitPlan(fact_plan, metrics, &totals);
 
   const columnar::Schema& combined = *join->output_schema;
   const size_t n_dim = combined.num_fields() - static_cast<size_t>(n_fact);
@@ -443,9 +527,10 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
     return Status::Internal("join build schema mismatch");
   }
 
-  std::unique_ptr<exec::HashAggregator> final_agg;   // storage partials
   std::unique_ptr<exec::HashAggregator> partial_agg;  // engine-side partial
-  std::shared_ptr<Table> collected;                  // no aggregation
+  // Merge-stage input: probed partial rows (two-phase), the engine-side
+  // partial result, or the joined rows when there is no aggregation.
+  std::shared_ptr<Table> collected;
   // Per user group key: gather from the partial batch (fact keys) or
   // from the matched dim row (dim-referenced keys).
   struct KeySource {
@@ -485,12 +570,7 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
       aug_fields.push_back(partial_schema.field(j));
     }
     aug_schema = columnar::MakeSchema(std::move(aug_fields));
-    const size_t n_user_keys = agg_node->group_keys.size();
-    std::vector<int> iota_keys(n_user_keys);
-    for (size_t k = 0; k < n_user_keys; ++k) iota_keys[k] = static_cast<int>(k);
-    final_agg = std::make_unique<exec::HashAggregator>(
-        aug_schema, std::move(iota_keys),
-        FinalAggSpecs(agg_node->aggregates, n_user_keys));
+    collected = std::make_shared<Table>(aug_schema);
   } else if (agg_node) {
     partial_agg = std::make_unique<exec::HashAggregator>(
         joined_schema, agg_node->group_keys,
@@ -504,7 +584,7 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
   Stopwatch probe_timer_total;
   // Probe one batch of partial rows (keyed by storage_keys) against the
   // exact dim index — dropping bloom false positives — augment with the
-  // dim-referenced group keys, and feed the final merge.
+  // dim-referenced group keys, and collect them for the final merge.
   auto merge_partials = [&](const columnar::RecordBatch& batch) -> Status {
     probe_rows_in += batch.num_rows();
     const columnar::Column& key_col = *batch.column(probe_pos);
@@ -529,8 +609,7 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
     for (size_t j = storage_keys.size(); j < batch.num_columns(); ++j) {
       cols.push_back(columnar::Take(*batch.column(j), sel));
     }
-    RecordBatchPtr aug = columnar::MakeBatch(aug_schema, std::move(cols));
-    POCS_RETURN_NOT_OK(final_agg->Consume(*aug));
+    collected->AppendBatch(columnar::MakeBatch(aug_schema, std::move(cols)));
     metrics->partial_agg_merges += sel.size();
     probe_rows_out += sel.size();
     return Status::OK();
@@ -621,56 +700,23 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
   metrics->operator_timings.push_back({"join.probe",
                                        probe_timer_total.ElapsedSeconds(),
                                        probe_rows_in, probe_rows_out});
+  if (partial_agg) {
+    Stopwatch finish_timer;
+    POCS_ASSIGN_OR_RETURN(RecordBatchPtr partials, partial_agg->Finish());
+    collected = std::make_shared<Table>(partials->schema());
+    collected->AppendBatch(std::move(partials));
+    residual += finish_timer.ElapsedSeconds();
+  }
 
   // ---- simulated scan-stage time (both sides' splits) -----------------------
-  {
-    SplitStageTotals transfer_only = totals;
-    transfer_only.compute_seconds = 0;
-    metrics->pushdown_and_transfer =
-        SplitStageSeconds(transfer_only, config.time_model);
-  }
-  metrics->operator_timings.push_back(
-      {"plan_analysis", metrics->logical_plan_analysis, 0, 0});
-  metrics->operator_timings.push_back(
-      {"ir_generation", metrics->ir_generation, 0, 0});
-  metrics->operator_timings.push_back({"scan_transfer",
-                                       metrics->pushdown_and_transfer,
-                                       metrics->rows_scanned,
-                                       metrics->rows_from_storage});
+  metrics->pushdown_and_transfer = SplitStageSeconds(totals, config.time_model);
+  PushStageTimings(metrics);
 
   // ---- merge stage -----------------------------------------------------------
-  Stopwatch merge_timer;
-  std::shared_ptr<Table> current;
-  if (two_phase) {
-    POCS_ASSIGN_OR_RETURN(current, FinalizeAggTable(*agg_node, final_agg.get()));
-  } else if (agg_node) {
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr partial_batch, partial_agg->Finish());
-    const size_t n_user_keys = agg_node->group_keys.size();
-    std::vector<int> iota_keys(n_user_keys);
-    for (size_t k = 0; k < n_user_keys; ++k) iota_keys[k] = static_cast<int>(k);
-    exec::HashAggregator merge_agg(
-        partial_agg->output_schema(), std::move(iota_keys),
-        FinalAggSpecs(agg_node->aggregates, n_user_keys));
-    POCS_RETURN_NOT_OK(merge_agg.Consume(*partial_batch));
-    POCS_ASSIGN_OR_RETURN(current, FinalizeAggTable(*agg_node, &merge_agg));
-  } else {
-    current = collected;
-  }
-  for (size_t i = merge_from; i < chain.size(); ++i) {
-    PlanNode* node = chain[i];
-    Stopwatch node_timer;
-    const uint64_t node_rows_in = current->num_rows();
-    POCS_ASSIGN_OR_RETURN(current, ApplyMergeNode(*node, std::move(current)));
-    metrics->operator_timings.push_back(
-        {"merge." + std::string(NodeKindName(node->kind)),
-         node_timer.ElapsedSeconds(), node_rows_in, current->num_rows()});
-  }
-  metrics->post_scan_execution += residual + merge_timer.ElapsedSeconds();
-  metrics->operator_timings.push_back(
-      {"post_scan", metrics->post_scan_execution, metrics->rows_from_storage,
-       current->num_rows()});
+  metrics->post_scan_execution += residual;
   *residual_out = residual;
-  return current;
+  return RunMergeStage(std::move(collected), agg_node,
+                       {chain.begin() + merge_from, chain.end()}, metrics);
 }
 
 }  // namespace
@@ -807,10 +853,6 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
     }
     qs.operator_timings = metrics.operator_timings;
 
-    // Legacy flat fields, mirrored from stats.
-    event.bytes_from_storage = qs.bytes_from_storage;
-    event.rows_from_storage = qs.rows_returned;
-    event.execution_seconds = qs.simulated_seconds;
     for (const auto& listener : listeners_) listener->QueryCompleted(event);
   };
 
@@ -852,34 +894,29 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
     agg_node = chain[idx];
     ++idx;
   }
-  const size_t merge_from = idx;  // merge-side nodes: chain[idx..)
+  const std::vector<PlanNode*> merge_nodes(chain.begin() + idx, chain.end());
 
-  // Schema flowing into the per-split accumulation.
-  SchemaPtr stream_schema = stream_nodes.empty()
-                                ? scan->scan_spec.output_schema
-                                : stream_nodes.back()->output_schema;
-  if (!stream_schema) stream_schema = scan->output_schema;
+  // Per-split residual rel chain: the stream filters/projections, plus the
+  // partial phase of a single-step aggregation.
+  POCS_ASSIGN_OR_RETURN(std::unique_ptr<Rel> split_rel,
+                        LowerChain(ScanOutputSchema(*scan), stream_nodes));
+  if (agg_node && agg_node->agg_step == AggregationStep::kSingle) {
+    split_rel = PartialAggregate(*agg_node, std::move(split_rel));
+  }
+  POCS_ASSIGN_OR_RETURN(SchemaPtr split_schema,
+                        substrait::OutputSchema(*split_rel));
 
   // ---- split generation ------------------------------------------------------
   // Runs after pushdown negotiation so the connector can prune splits
   // against the accepted predicates (stats-based, zero data RPCs).
   POCS_ASSIGN_OR_RETURN(connector::SplitPlan split_plan,
                         conn->GetSplits(table, scan->scan_spec));
-  std::vector<connector::Split> splits = std::move(split_plan.splits);
-  metrics.splits = splits.size();
-  metrics.splits_planned = split_plan.splits_planned;
-  metrics.splits_pruned = split_plan.splits_pruned;
-  metrics.metadata_cache_hits = split_plan.metadata_cache_hits;
-  metrics.metadata_cache_misses = split_plan.metadata_cache_misses;
-  metrics.metadata_cache_stale = split_plan.metadata_cache_stale;
-  metrics.metadata_cache_errors = split_plan.metadata_cache_errors;
+  SplitStageTotals totals;
+  FoldSplitPlan(split_plan, &metrics, &totals);
+  const std::vector<connector::Split>& splits = split_plan.splits;
 
   // ---- per-split execution (parallel, real work) -----------------------------
   std::vector<SplitOutput> outputs(splits.size());
-  const connector::ScanSpec& spec = scan->scan_spec;
-  const bool partial_agg_here =
-      agg_node && agg_node->agg_step == AggregationStep::kSingle;
-
   SplitThrottle throttle(config_.max_inflight_splits);
   pool_->ParallelFor(splits.size(), [&](size_t s) {
     SplitOutput& out = outputs[s];
@@ -888,204 +925,50 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
     // the task body, so a blocked acquire always implies other permits
     // are held by running workers — progress is guaranteed.
     SplitThrottle::Permit permit = throttle.Acquire();
-    auto source_or = conn->CreatePageSource(table, splits[s], spec);
-    if (!source_or.ok()) {
-      out.status = source_or.status();
+    auto source = conn->CreatePageSource(table, splits[s], scan->scan_spec);
+    if (!source.ok()) {
+      out.status = source.status();
       return;
     }
-    auto source = std::move(source_or).value();
-    Stopwatch compute_timer;
-    double compute = 0;
-
-    std::unique_ptr<exec::HashAggregator> partial;
-    if (partial_agg_here) {
-      partial = std::make_unique<exec::HashAggregator>(
-          stream_schema, agg_node->group_keys,
-          PartialAggSpecs(agg_node->aggregates));
+    exec::ExecStats exec_stats;
+    auto data = exec::ExecuteRel(*split_rel, **source, &exec_stats);
+    if (!data.ok()) {
+      out.status = data.status();
+      return;
     }
-    auto collected = std::make_shared<Table>(
-        partial ? partial->output_schema() : stream_schema);
-
-    while (true) {
-      auto batch_or = source->Next();
-      if (!batch_or.ok()) {
-        out.status = batch_or.status();
-        return;
-      }
-      RecordBatchPtr batch = std::move(batch_or).value();
-      if (!batch) break;
-      compute_timer.Restart();
-      for (PlanNode* node : stream_nodes) {
-        if (node->kind == NodeKind::kFilter) {
-          auto filtered = substrait::FilterBatch(node->predicate, *batch);
-          if (!filtered.ok()) {
-            out.status = filtered.status();
-            return;
-          }
-          batch = *filtered;
-        } else {
-          auto projected = ApplyProjectNode(*node, *batch);
-          if (!projected.ok()) {
-            out.status = projected.status();
-            return;
-          }
-          batch = *projected;
-        }
-        if (batch->num_rows() == 0) break;
-      }
-      if (batch->num_rows() > 0) {
-        if (partial) {
-          Status st = partial->Consume(*batch);
-          if (!st.ok()) {
-            out.status = st;
-            return;
-          }
-        } else {
-          collected->AppendBatch(batch);
-        }
-      }
-      compute += compute_timer.ElapsedSeconds();
-    }
-    if (partial) {
-      compute_timer.Restart();
-      auto final_batch = partial->Finish();
-      if (!final_batch.ok()) {
-        out.status = final_batch.status();
-        return;
-      }
-      collected->AppendBatch(*final_batch);
-      compute += compute_timer.ElapsedSeconds();
-    }
-    out.data = collected;
-    out.stats = source->stats();
-    out.compute_seconds = compute;
+    out.data = *std::move(data);
+    out.stats = (*source)->stats();
+    out.compute_seconds = OperatorSeconds(exec_stats);
   });
 
-  SplitStageTotals totals;
+  // Residual compute is the operators' measured time plus page decode.
   double residual_compute = 0;
-  for (SplitOutput& out : outputs) {
+  auto merged = std::make_shared<Table>(split_schema);
+  for (const SplitOutput& out : outputs) {
     POCS_RETURN_NOT_OK(out.status);
-    totals.bytes_moved += out.stats.bytes_received + out.stats.bytes_sent;
-    totals.messages += 2;  // request + response per split
-    totals.storage_compute_seconds += out.stats.storage_compute_seconds;
-    totals.media_read_seconds += out.stats.media_read_seconds;
-    totals.compute_seconds += out.compute_seconds + out.stats.decode_seconds;
-    metrics.bytes_from_storage += out.stats.bytes_received;
-    metrics.bytes_to_storage += out.stats.bytes_sent;
-    metrics.rows_from_storage += out.stats.rows_received;
-    metrics.rows_scanned += out.stats.rows_scanned;
-    metrics.ir_generation += out.stats.ir_generation_seconds;
-    metrics.storage_compute_seconds += out.stats.storage_compute_seconds;
-    metrics.row_groups_total += out.stats.row_groups_total;
-    metrics.row_groups_skipped += out.stats.row_groups_skipped;
-    metrics.retries += out.stats.dispatch_retries;
-    metrics.fallbacks += out.stats.fallbacks;
-    metrics.failed_splits += out.stats.failed_dispatches;
-    metrics.row_groups_lazy_skipped += out.stats.row_groups_lazy_skipped;
-    metrics.row_groups_hint_skipped += out.stats.row_groups_hint_skipped;
-    metrics.cache_hits += out.stats.cache_hits;
-    metrics.cache_misses += out.stats.cache_misses;
-    metrics.cache_bytes_saved += out.stats.cache_bytes_saved;
-    metrics.bytes_refetched_on_retry += out.stats.bytes_refetched_on_retry;
-    metrics.bloom_rows_pruned += out.stats.bloom_rows_pruned;
-    metrics.rows_dict_filtered += out.stats.rows_dict_filtered;
-    metrics.rows_late_materialized += out.stats.rows_late_materialized;
+    FoldSourceStats(out.stats, &metrics, &totals);
     residual_compute += out.compute_seconds + out.stats.decode_seconds;
+    for (const RecordBatchPtr& batch : out.data->batches()) {
+      merged->AppendBatch(batch);
+    }
   }
-  totals.splits = splits.size();
 
   // Simulated stage times (DESIGN.md §4): transfer/storage roofline for the
   // scan stage; compute-side work accounted under post-scan execution.
-  {
-    SplitStageTotals transfer_only = totals;
-    transfer_only.compute_seconds = 0;
-    metrics.pushdown_and_transfer =
-        SplitStageSeconds(transfer_only, config_.time_model);
-    metrics.post_scan_execution +=
-        residual_compute /
-        static_cast<double>(std::max<size_t>(config_.worker_threads, 1));
-  }
-
-  metrics.operator_timings.push_back(
-      {"plan_analysis", metrics.logical_plan_analysis, 0, 0});
-  metrics.operator_timings.push_back(
-      {"ir_generation", metrics.ir_generation, 0, 0});
-  metrics.operator_timings.push_back({"scan_transfer",
-                                      metrics.pushdown_and_transfer,
-                                      metrics.rows_scanned,
-                                      metrics.rows_from_storage});
+  metrics.pushdown_and_transfer = SplitStageSeconds(totals, config_.time_model);
+  metrics.post_scan_execution +=
+      residual_compute /
+      static_cast<double>(std::max<size_t>(config_.worker_threads, 1));
+  PushStageTimings(&metrics);
 
   // ---- merge stage (single-threaded, real work) ------------------------------
-  Stopwatch merge_timer;
-  SchemaPtr merged_schema =
-      outputs.empty()
-          ? (partial_agg_here || (agg_node && agg_node->agg_step ==
-                                                  AggregationStep::kFinal)
-                 ? PartialOutputSchema(*stream_schema, agg_node->group_keys,
-                                       agg_node->aggregates)
-                 : stream_schema)
-          : outputs[0].data->schema();
-  auto merged = std::make_shared<Table>(merged_schema);
-  for (SplitOutput& out : outputs) {
-    for (const auto& batch : out.data->batches()) merged->AppendBatch(batch);
+  if (agg_node && agg_node->agg_step == AggregationStep::kFinal) {
+    // Inputs are storage-computed partials; count the merge volume.
+    metrics.partial_agg_merges += merged->num_rows();
   }
-
-  std::shared_ptr<Table> current = merged;
-  if (agg_node) {
-    Stopwatch agg_timer;
-    const uint64_t agg_rows_in = current->num_rows();
-    if (agg_node->agg_step == AggregationStep::kFinal) {
-      // Inputs are storage-computed partials; count the merge volume.
-      metrics.partial_agg_merges += agg_rows_in;
-    }
-    const size_t n_keys = agg_node->group_keys.size();
-    exec::HashAggregator final_agg(
-        current->schema(),
-        [&] {
-          std::vector<int> keys(n_keys);
-          for (size_t k = 0; k < n_keys; ++k) keys[k] = static_cast<int>(k);
-          return keys;
-        }(),
-        FinalAggSpecs(agg_node->aggregates, n_keys));
-    for (const auto& batch : current->batches()) {
-      POCS_RETURN_NOT_OK(final_agg.Consume(*batch));
-    }
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr final_batch, final_agg.Finish());
-    // Finalize: recover original aggregate outputs (AVG = sum/count).
-    std::vector<Expression> finalize_exprs;
-    std::vector<std::string> finalize_names;
-    FinalizeProjection(agg_node->aggregates, n_keys,
-                       *final_batch->schema(), &finalize_exprs,
-                       &finalize_names);
-    std::vector<columnar::ColumnPtr> cols;
-    for (const Expression& e : finalize_exprs) {
-      POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                            substrait::Evaluate(e, *final_batch));
-      cols.push_back(std::move(col));
-    }
-    RecordBatchPtr finalized =
-        columnar::MakeBatch(agg_node->output_schema, std::move(cols));
-    current = std::make_shared<Table>(finalized->schema());
-    current->AppendBatch(std::move(finalized));
-    metrics.operator_timings.push_back({"merge.Aggregation",
-                                        agg_timer.ElapsedSeconds(),
-                                        agg_rows_in, current->num_rows()});
-  }
-
-  for (size_t i = merge_from; i < chain.size(); ++i) {
-    PlanNode* node = chain[i];
-    Stopwatch node_timer;
-    const uint64_t node_rows_in = current->num_rows();
-    POCS_ASSIGN_OR_RETURN(current, ApplyMergeNode(*node, std::move(current)));
-    metrics.operator_timings.push_back(
-        {"merge." + std::string(NodeKindName(node->kind)),
-         node_timer.ElapsedSeconds(), node_rows_in, current->num_rows()});
-  }
-  metrics.post_scan_execution += merge_timer.ElapsedSeconds();
-  metrics.operator_timings.push_back(
-      {"post_scan", metrics.post_scan_execution, metrics.rows_from_storage,
-       current->num_rows()});
-
+  POCS_ASSIGN_OR_RETURN(
+      std::shared_ptr<Table> current,
+      RunMergeStage(std::move(merged), agg_node, merge_nodes, &metrics));
   finish(current, residual_compute);
   return result;
 }

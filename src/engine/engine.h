@@ -7,6 +7,12 @@
 //     → split generation → parallel per-split execution (workers)
 //     → merge stage (final aggregation / sort / top-N / limit / output)
 //
+// The residual plan nodes run as substrait::Rel chains through
+// exec::ExecuteRel, the executor storage and the connector fallback use:
+// per split over the connector's page source (filters, projections,
+// partial aggregation), on the join's build side, and in the merge stage.
+// Only the join's fact-side probe loop is engine-specific code.
+//
 // Every query returns the result table plus a metrics block with the
 // measured-and-modelled stage breakdown (Table 3's rows) and exact data
 // movement (Fig. 5's second axis).

@@ -35,7 +35,9 @@ struct SplitStageTotals {
   uint64_t messages = 0;          // request/response rounds
   double storage_compute_seconds = 0;  // Σ, already cpu-slowdown-scaled
   double media_read_seconds = 0;       // Σ modelled SSD reads (serialized)
-  double compute_seconds = 0;          // Σ residual + decode work, measured
+  // Σ compute-side split work. The engine leaves it 0: it books residual
+  // and decode work under post_scan_execution instead (DESIGN.md §4).
+  double compute_seconds = 0;
   size_t splits = 0;
 };
 

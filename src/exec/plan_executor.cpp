@@ -1,5 +1,6 @@
 #include "exec/plan_executor.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/metrics.h"
@@ -164,16 +165,13 @@ Result<columnar::RecordBatchPtr> BloomFilterSource::Next() {
 }
 
 Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
-                                          const ScanFactory& scan_factory,
+                                          BatchSource& source,
                                           ExecStats* stats) {
   Stopwatch plan_timer;
   ExecStats local;
 
   std::vector<const Rel*> chain;
   POCS_RETURN_NOT_OK(FlattenChain(root, &chain));
-
-  POCS_ASSIGN_OR_RETURN(std::unique_ptr<BatchSource> source,
-                        scan_factory(*chain[0]));
 
   // Identify the streamable prefix above the read: filters and projects.
   // The first blocking operator (aggregate/sort/fetch) splits the chain.
@@ -224,7 +222,7 @@ Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
       aggregator ? RelKind::kAggregate : RelKind::kSort;
 
   auto intermediate = std::make_shared<Table>(
-      prefix_schemas.empty() || blocking == 1 ? source->schema()
+      prefix_schemas.empty() || blocking == 1 ? source.schema()
                                               : prefix_schemas[blocking - 1]);
 
   // ---- streaming phase ---------------------------------------------------
@@ -235,7 +233,7 @@ Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
   // accumulator, or the intermediate table. Hash aggregation consumes
   // the selection directly.
   while (true) {
-    POCS_ASSIGN_OR_RETURN(SelectedBatch sb, source->NextSelected());
+    POCS_ASSIGN_OR_RETURN(SelectedBatch sb, source.NextSelected());
     RecordBatchPtr batch = std::move(sb.batch);
     if (!batch) break;
     local.rows_scanned += batch->num_rows();

@@ -1,6 +1,10 @@
 // Executes a linear IR relation chain (Read → … → root) against an
-// abstract batch source. This is the execution core of the OCS embedded
-// engine, and doubles as the reference executor in equivalence tests.
+// abstract batch source. It is the one operator pipeline of the system:
+// the OCS storage node runs pushed plans through it, the connector's
+// engine-side fallback re-runs the same plans through it, and the query
+// engine lowers its residual nodes (per-split filters/projections and
+// partial aggregation, the join build side, the merge stage) to rel
+// chains and runs them here too (DESIGN.md §2).
 //
 // Streaming where possible: Filter and Project are applied per batch;
 // Aggregate, Sort, and Fetch materialize. A Fetch directly above a Sort
@@ -8,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -47,9 +50,6 @@ class BatchSource {
   }
 };
 
-using ScanFactory = std::function<Result<std::unique_ptr<BatchSource>>(
-    const substrait::Rel& read)>;
-
 // Rows in/out and measured wall time attributed to one operator kind
 // across the whole execution (streaming applies accumulate per batch).
 struct OperatorCounters {
@@ -76,10 +76,12 @@ struct ExecStats {
   }
 };
 
-// Execute the chain rooted at `root`; every Read leaf is resolved through
-// `scan_factory`.
+// Execute the chain rooted at `root`, pulling the Read leaf's batches
+// from `source` (borrowed: the caller keeps it, and whatever accounting
+// it carries, after the call). The Read rel supplies the scan schema the
+// operators above it are typed against; it must match source.schema().
 Result<std::shared_ptr<columnar::Table>> ExecuteRel(
-    const substrait::Rel& root, const ScanFactory& scan_factory,
+    const substrait::Rel& root, BatchSource& source,
     ExecStats* stats = nullptr);
 
 // Rows of an integer key column that pass a bloom filter (nulls never

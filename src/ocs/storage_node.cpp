@@ -438,49 +438,46 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
     return Status::InvalidArgument("ocs: plan must scan a named object");
   }
 
-  exec::ScanFactory factory =
-      [this, above_read,
-       &result](const Rel& r) -> Result<std::unique_ptr<exec::BatchSource>> {
-    POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
-                          store_->GetVersioned(r.bucket, r.object));
-    POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object.data));
-    if (!reader->schema()->Equals(*r.base_schema)) {
-      return Status::InvalidArgument("ocs: plan schema != object schema");
-    }
-    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
-                          substrait::OutputSchema(r));
-    std::vector<objectstore::SelectPredicate> pruning;
-    if (above_read && above_read->kind == RelKind::kFilter) {
-      CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
-    }
-    // Honor the planner's row-group hint only when it was computed from
-    // this exact object version; a hint from stale stats is discarded
-    // entirely (correctness never depends on the hint).
-    std::vector<uint32_t> hint;
-    if (!r.row_group_hint.empty() && r.hint_version == object.version) {
-      hint = r.row_group_hint;
-    }
-    // Same version-pin discipline for the pushed bloom filter: apply it
-    // only when it was built against this exact object version. A stale
-    // pin silently degrades to an unfiltered scan — the engine's exact
-    // probe keeps the answer correct either way.
-    std::unique_ptr<BloomFilter> bloom;
-    if (!r.bloom_words.empty() && r.bloom_version == object.version) {
-      bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
-                                            r.bloom_seed);
-    }
-    result.stats.row_groups_total += reader->num_row_groups();
-    result.stats.object_version = object.version;
-    return std::unique_ptr<exec::BatchSource>(std::make_unique<ParquetObjectSource>(
-        std::move(reader), r.read_columns, std::move(scan_schema),
-        std::move(pruning), std::move(hint), std::move(bloom), r.bloom_column,
-        &result.stats, rowgroup_cache_.get(), r.bucket + "/" + r.object,
-        object.version));
-  };
+  const Rel& r = *read;
+  POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
+                        store_->GetVersioned(r.bucket, r.object));
+  POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object.data));
+  if (!reader->schema()->Equals(*r.base_schema)) {
+    return Status::InvalidArgument("ocs: plan schema != object schema");
+  }
+  POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
+                        substrait::OutputSchema(r));
+  std::vector<objectstore::SelectPredicate> pruning;
+  if (above_read && above_read->kind == RelKind::kFilter) {
+    CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
+  }
+  // Honor the planner's row-group hint only when it was computed from
+  // this exact object version; a hint from stale stats is discarded
+  // entirely (correctness never depends on the hint).
+  std::vector<uint32_t> hint;
+  if (!r.row_group_hint.empty() && r.hint_version == object.version) {
+    hint = r.row_group_hint;
+  }
+  // Same version-pin discipline for the pushed bloom filter: apply it
+  // only when it was built against this exact object version. A stale
+  // pin silently degrades to an unfiltered scan — the engine's exact
+  // probe keeps the answer correct either way.
+  std::unique_ptr<BloomFilter> bloom;
+  if (!r.bloom_words.empty() && r.bloom_version == object.version) {
+    bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
+                                          r.bloom_seed);
+  }
+  result.stats.row_groups_total += reader->num_row_groups();
+  result.stats.object_version = object.version;
+  ParquetObjectSource source(
+      std::move(reader), r.read_columns, std::move(scan_schema),
+      std::move(pruning), std::move(hint), std::move(bloom), r.bloom_column,
+      &result.stats, rowgroup_cache_.get(), r.bucket + "/" + r.object,
+      object.version);
 
   exec::ExecStats exec_stats;
   POCS_ASSIGN_OR_RETURN(auto table,
-                        exec::ExecuteRel(*plan.root, factory, &exec_stats));
+                        exec::ExecuteRel(*plan.root, source, &exec_stats));
   result.stats.rows_scanned = exec_stats.rows_scanned;
   result.stats.rows_output = exec_stats.rows_output;
   result.arrow_ipc = columnar::ipc::SerializeTable(*table);

@@ -377,7 +377,7 @@ connector::QueryEvent Event(bool accepted, uint64_t bytes) {
   d.kind = PushedOperator::Kind::kPartialAggregation;
   d.accepted = accepted;
   event.decisions = {d};
-  event.bytes_from_storage = bytes;
+  event.stats.bytes_from_storage = bytes;
   return event;
 }
 

@@ -2,7 +2,8 @@
 // enumerates a family of queries over the Laghos schema (filters of
 // varying selectivity, aggregates, group keys, projections, sort/top-N/
 // limit combinations); every query runs through hive_raw (reference),
-// hive (Select pushdown), and ocs (full pushdown) and results must agree
+// hive (Select pushdown), ocs (full pushdown) and ocs_pruned (full
+// pushdown plus stats-based split pruning) and results must agree
 // bit-for-bit after canonicalization. Also covers failure injection:
 // corrupt objects, missing objects, and strict-typed S3 mode.
 #include <gtest/gtest.h>
@@ -55,6 +56,10 @@ struct EquivalenceFixture : ::testing::Test {
     auto data = GenerateLaghos(config);
     ASSERT_TRUE(data.ok());
     ASSERT_TRUE(testbed->Ingest(std::move(*data)).ok());
+    // Full pushdown plus stats-based split pruning (metadata cache on).
+    connectors::OcsConnectorConfig pruned = testbed->config().ocs_connector;
+    pruned.metadata_cache_bytes = 8ull << 20;
+    testbed->RegisterOcsCatalog("ocs_pruned", pruned);
   }
   static void TearDownTestSuite() { testbed.reset(); }
   static std::unique_ptr<Testbed> testbed;
@@ -118,6 +123,25 @@ const QueryCase kQueries[] = {
      "HAVING n > 7", false},
     {"SELECT vertex_id, AVG(e) AS m FROM laghos GROUP BY vertex_id "
      "HAVING m > 500.0 ORDER BY m DESC LIMIT 5", true},
+    // a filter no row passes, though no split's stats can rule it out,
+    // under a global and a grouped aggregate: COUNT(*) = 0 with SUM/AVG
+    // NULL, then no rows
+    {"SELECT COUNT(*) AS n, SUM(e) AS s, AVG(z) AS m FROM laghos "
+     "WHERE x < 1.0 AND x > 2.0", false},
+    {"SELECT vertex_id, COUNT(*) AS n, SUM(e) AS s FROM laghos "
+     "WHERE x < 1.0 AND x > 2.0 GROUP BY vertex_id", false},
+    // every split pruned by its stats on ocs_pruned: the merge stage gets
+    // no split output at all
+    {"SELECT COUNT(*) AS n, SUM(e) AS s, AVG(z) AS m FROM laghos "
+     "WHERE x > 100.0", false},
+    {"SELECT vertex_id, e FROM laghos WHERE x > 100.0 ORDER BY e LIMIT 5",
+     true},
+    // top-N with ties at the merge stage: eight rows share each vertex_id,
+    // so the kept rows and their order depend on a stable sort
+    {"SELECT vertex_id, x, e FROM laghos ORDER BY vertex_id DESC LIMIT 20",
+     true},
+    {"SELECT vertex_id, e FROM laghos WHERE x < 3.0 "
+     "ORDER BY vertex_id LIMIT 13", true},
 };
 
 class PushdownEquivalence
@@ -127,7 +151,7 @@ class PushdownEquivalence
 TEST_P(PushdownEquivalence, AllPathsAgree) {
   const QueryCase& qc = kQueries[GetParam()];
   std::map<std::string, std::string> canon;
-  for (const char* catalog : {"hive_raw", "hive", "ocs"}) {
+  for (const char* catalog : {"hive_raw", "hive", "ocs", "ocs_pruned"}) {
     auto result = testbed->Run(qc.sql, catalog);
     ASSERT_TRUE(result.ok()) << catalog << ": " << result.status() << "\n"
                              << qc.sql;
@@ -135,6 +159,7 @@ TEST_P(PushdownEquivalence, AllPathsAgree) {
   }
   EXPECT_EQ(canon["hive"], canon["hive_raw"]) << qc.sql;
   EXPECT_EQ(canon["ocs"], canon["hive_raw"]) << qc.sql;
+  EXPECT_EQ(canon["ocs_pruned"], canon["hive_raw"]) << qc.sql;
 }
 
 INSTANTIATE_TEST_SUITE_P(QueryFamily, PushdownEquivalence,
@@ -284,10 +309,21 @@ TEST_F(EquivalenceFixture, EmptyTableQueries) {
   info.column_stats.resize(info.schema->num_fields());
   ASSERT_TRUE(local.metastore().RegisterTable(std::move(info)).ok());
   for (const char* catalog : {"hive_raw", "hive", "ocs"}) {
-    auto count = local.Run("SELECT COUNT(*) AS n FROM empty", catalog);
+    auto count = local.Run("SELECT COUNT(*) AS n, SUM(e) AS s FROM empty",
+                           catalog);
     ASSERT_TRUE(count.ok()) << catalog << ": " << count.status();
     ASSERT_EQ(count->table->num_rows(), 1u);  // SQL: global agg over void
+    ASSERT_FALSE(count->table->column(0)->IsNull(0)) << catalog;
     EXPECT_EQ(count->table->column(0)->GetInt64(0), 0);
+    EXPECT_TRUE(count->table->column(1)->IsNull(0)) << catalog;
+    auto groups = local.Run(
+        "SELECT vertex_id, COUNT(*) AS n FROM empty GROUP BY vertex_id",
+        catalog);
+    ASSERT_TRUE(groups.ok()) << catalog << ": " << groups.status();
+    EXPECT_EQ(groups->table->num_rows(), 0u);
+    auto top = local.Run("SELECT x FROM empty ORDER BY x LIMIT 3", catalog);
+    ASSERT_TRUE(top.ok()) << catalog << ": " << top.status();
+    EXPECT_EQ(top->table->num_rows(), 0u);
     auto rows = local.Run("SELECT x FROM empty WHERE x > 1.0", catalog);
     ASSERT_TRUE(rows.ok()) << catalog;
     EXPECT_EQ(rows->table->num_rows(), 0u);

@@ -3,6 +3,7 @@
 // streaming paths).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "exec/hash_aggregator.h"
@@ -228,10 +229,11 @@ std::shared_ptr<Table> SourceTable() {
   return table;
 }
 
-ScanFactory TableFactory(std::shared_ptr<Table> table) {
-  return [table](const Rel&) -> Result<std::unique_ptr<BatchSource>> {
-    return std::unique_ptr<BatchSource>(std::make_unique<TableSource>(table));
-  };
+// Runs `root` over a fresh in-memory source of SourceTable().
+Result<std::shared_ptr<Table>> RunOverSource(const Rel& root,
+                                             ExecStats* stats = nullptr) {
+  TableSource source(SourceTable());
+  return ExecuteRel(root, source, stats);
 }
 
 std::unique_ptr<Rel> ReadRel() {
@@ -245,7 +247,7 @@ std::unique_ptr<Rel> ReadRel() {
 
 TEST(PlanExecutorTest, ScanOnly) {
   ExecStats stats;
-  auto result = ExecuteRel(*ReadRel(), TableFactory(SourceTable()), &stats);
+  auto result = RunOverSource(*ReadRel(), &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ((*result)->num_rows(), 6u);
   EXPECT_EQ(stats.rows_scanned, 6u);
@@ -271,7 +273,7 @@ TEST(PlanExecutorTest, FilterProjectStreaming) {
       TypeKind::kFloat64)};
   project->output_names = {"v2"};
 
-  auto result = ExecuteRel(*project, TableFactory(SourceTable()));
+  auto result = RunOverSource(*project);
   ASSERT_TRUE(result.ok()) << result.status();
   auto combined = (*result)->Combine();
   ASSERT_EQ(combined->num_rows(), 4u);  // v in {5,7,9,11}
@@ -287,7 +289,7 @@ TEST(PlanExecutorTest, StreamingAggregate) {
   agg->aggregates = {
       {AggFunc::kSum, Expression::FieldRef(1, TypeKind::kFloat64), "sum_v"}};
   ExecStats stats;
-  auto result = ExecuteRel(*agg, TableFactory(SourceTable()), &stats);
+  auto result = RunOverSource(*agg, &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   auto combined = (*result)->Combine();
   ASSERT_EQ(combined->num_rows(), 3u);
@@ -306,7 +308,7 @@ TEST(PlanExecutorTest, SortPlusFetchFusesToTopN) {
   fetch->kind = RelKind::kFetch;
   fetch->input = std::move(sort);
   fetch->count = 2;
-  auto result = ExecuteRel(*fetch, TableFactory(SourceTable()));
+  auto result = RunOverSource(*fetch);
   ASSERT_TRUE(result.ok()) << result.status();
   auto combined = (*result)->Combine();
   ASSERT_EQ(combined->num_rows(), 2u);
@@ -339,7 +341,7 @@ TEST(PlanExecutorTest, FullChainFilterAggSortFetch) {
   fetch->input = std::move(sort);
   fetch->count = 2;
 
-  auto result = ExecuteRel(*fetch, TableFactory(SourceTable()));
+  auto result = RunOverSource(*fetch);
   ASSERT_TRUE(result.ok()) << result.status();
   auto combined = (*result)->Combine();
   ASSERT_EQ(combined->num_rows(), 2u);
@@ -360,7 +362,7 @@ TEST(PlanExecutorTest, FetchWithOffsetMaterializes) {
   fetch->input = std::move(sort);
   fetch->offset = 1;
   fetch->count = 2;
-  auto result = ExecuteRel(*fetch, TableFactory(SourceTable()));
+  auto result = RunOverSource(*fetch);
   ASSERT_TRUE(result.ok()) << result.status();
   auto combined = (*result)->Combine();
   ASSERT_EQ(combined->num_rows(), 2u);
@@ -371,9 +373,231 @@ TEST(PlanExecutorTest, FetchWithOffsetMaterializes) {
 TEST(PlanExecutorTest, MalformedChainRejected) {
   auto filter = std::make_unique<Rel>();
   filter->kind = RelKind::kFilter;  // no input
-  auto result = ExecuteRel(*filter, TableFactory(SourceTable()));
+  auto result = RunOverSource(*filter);
   EXPECT_FALSE(result.ok());
 }
+
+// ---- ExecuteRel vs an independent materializing composition --------------
+
+// Materializing reference for a rel chain, built only from the operator
+// primitives: FilterBatch per Filter, Evaluate per Project,
+// HashAggregator::Consume without a selection, SortTable, FetchTable.
+// It shares no streaming, selection or top-N code with ExecuteRel.
+Result<std::shared_ptr<Table>> MaterializingReference(const Rel& root,
+                                                      const Table& input) {
+  std::vector<const Rel*> chain;
+  for (const Rel* r = &root; r != nullptr; r = r->input.get()) {
+    chain.push_back(r);
+  }
+  std::reverse(chain.begin(), chain.end());
+  auto current = std::make_shared<Table>(input.schema());
+  for (const RecordBatchPtr& b : input.batches()) current->AppendBatch(b);
+  for (size_t i = 1; i < chain.size(); ++i) {
+    const Rel& rel = *chain[i];
+    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr out_schema,
+                          substrait::OutputSchema(rel));
+    auto next = std::make_shared<Table>(out_schema);
+    switch (rel.kind) {
+      case RelKind::kFilter:
+        for (const RecordBatchPtr& b : current->batches()) {
+          POCS_ASSIGN_OR_RETURN(RecordBatchPtr kept,
+                                substrait::FilterBatch(rel.predicate, *b));
+          if (kept->num_rows() > 0) next->AppendBatch(std::move(kept));
+        }
+        break;
+      case RelKind::kProject:
+        for (const RecordBatchPtr& b : current->batches()) {
+          std::vector<columnar::ColumnPtr> cols;
+          for (const Expression& e : rel.expressions) {
+            POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
+                                  substrait::Evaluate(e, *b));
+            cols.push_back(std::move(col));
+          }
+          next->AppendBatch(MakeBatch(out_schema, std::move(cols)));
+        }
+        break;
+      case RelKind::kAggregate: {
+        HashAggregator agg(current->schema(), rel.group_keys, rel.aggregates);
+        for (const RecordBatchPtr& b : current->batches()) {
+          POCS_RETURN_NOT_OK(agg.Consume(*b));
+        }
+        POCS_ASSIGN_OR_RETURN(RecordBatchPtr out, agg.Finish());
+        next->AppendBatch(std::move(out));
+        break;
+      }
+      case RelKind::kSort: {
+        POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
+                              SortTable(*current, rel.sort_fields));
+        next->AppendBatch(std::move(sorted));
+        break;
+      }
+      case RelKind::kFetch: {
+        POCS_ASSIGN_OR_RETURN(next,
+                              FetchTable(*current, rel.offset, rel.count));
+        break;
+      }
+      case RelKind::kRead:
+        return Status::Internal("read rel above the leaf");
+    }
+    current = next;
+  }
+  return current;
+}
+
+columnar::SchemaPtr TieSchema() {
+  return MakeSchema({{"k", TypeKind::kString},
+                     {"v", TypeKind::kFloat64},
+                     {"id", TypeKind::kInt64}});
+}
+
+// Six 500-row batches: v takes ten values (many sort ties) plus nulls, id
+// is the arrival order (exposes tie order), and every v in batch 0 is at
+// most 1, so the first filter (v > 1) empties that batch.
+std::shared_ptr<Table> TieTable() {
+  auto table = std::make_shared<Table>(TieSchema());
+  std::mt19937 rng(29);
+  int64_t id = 0;
+  for (int b = 0; b < 6; ++b) {
+    auto k = MakeColumn(TypeKind::kString);
+    auto v = MakeColumn(TypeKind::kFloat64);
+    auto ids = MakeColumn(TypeKind::kInt64);
+    for (int r = 0; r < 500; ++r) {
+      k->AppendString(std::string(1, static_cast<char>('a' + rng() % 5)));
+      const int bucket = static_cast<int>(rng() % 11);  // 10 = null
+      if (bucket == 10) {
+        v->AppendNull();
+      } else {
+        v->AppendFloat64(b == 0 ? bucket * 0.1 : bucket + 0.1 * (b % 3));
+      }
+      ids->AppendInt64(id++);
+    }
+    table->AppendBatch(MakeBatch(TieSchema(), {k, v, ids}));
+  }
+  return table;
+}
+
+Expression VCompare(ScalarFunc op, double literal) {
+  return Expression::Call(op,
+                          {Expression::FieldRef(1, TypeKind::kFloat64),
+                           Expression::Literal(Datum::Float64(literal))},
+                          TypeKind::kBool);
+}
+
+std::unique_ptr<Rel> Stack(RelKind kind, std::unique_ptr<Rel> input) {
+  auto rel = std::make_unique<Rel>();
+  rel->kind = kind;
+  rel->input = std::move(input);
+  return rel;
+}
+
+// Read → Filter(v > 1): the first filter of every oracle chain.
+std::unique_ptr<Rel> FilteredTieRead() {
+  auto read = std::make_unique<Rel>();
+  read->base_schema = TieSchema();
+  auto filter = Stack(RelKind::kFilter, std::move(read));
+  filter->predicate = VCompare(ScalarFunc::kGt, 1.0);
+  return filter;
+}
+
+// Filter → Filter → Project → Aggregate: the second filter receives the
+// first one's selection; the aggregate's float sums are order-sensitive.
+std::unique_ptr<Rel> FilterFilterProjectAggregate() {
+  auto filter = Stack(RelKind::kFilter, FilteredTieRead());
+  filter->predicate = VCompare(ScalarFunc::kLt, 8.0);
+  auto project = Stack(RelKind::kProject, std::move(filter));
+  project->expressions = {
+      Expression::FieldRef(0, TypeKind::kString),
+      Expression::Call(ScalarFunc::kMultiply,
+                       {Expression::FieldRef(1, TypeKind::kFloat64),
+                        Expression::Literal(Datum::Float64(1.1))},
+                       TypeKind::kFloat64),
+      Expression::FieldRef(2, TypeKind::kInt64)};
+  project->output_names = {"k", "v11", "id"};
+  auto agg = Stack(RelKind::kAggregate, std::move(project));
+  agg->group_keys = {0};
+  agg->aggregates = {
+      {AggFunc::kSum, Expression::FieldRef(1, TypeKind::kFloat64), "s"},
+      {AggFunc::kAvg, Expression::FieldRef(1, TypeKind::kFloat64), "m"},
+      {AggFunc::kCountStar, {}, "n"},
+      {AggFunc::kMin, Expression::FieldRef(2, TypeKind::kInt64), "first"}};
+  return agg;
+}
+
+// Filter → Sort → Fetch: fuses into the bounded top-N, which truncates
+// its buffer several times over the ~2.5k survivors; ties on v must
+// keep arrival (id) order exactly like a full stable sort + head.
+std::unique_ptr<Rel> FilterSortFetch() {
+  auto sort = Stack(RelKind::kSort, FilteredTieRead());
+  sort->sort_fields = {{1, false, true}};  // v desc, ties everywhere
+  auto fetch = Stack(RelKind::kFetch, std::move(sort));
+  fetch->count = 25;
+  return fetch;
+}
+
+std::unique_ptr<Rel> FilterFetch() {
+  auto fetch = Stack(RelKind::kFetch, FilteredTieRead());
+  fetch->offset = 3;
+  fetch->count = 40;
+  return fetch;
+}
+
+struct OracleCase {
+  const char* name;
+  std::unique_ptr<Rel> (*build)();
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
+class ExecuteRelOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(ExecuteRelOracle, MatchesMaterializingComposition) {
+  std::unique_ptr<Rel> root = GetParam().build();
+  std::shared_ptr<Table> input = TieTable();
+  TableSource source(input);
+  ExecStats stats;
+  auto got = ExecuteRel(*root, source, &stats);
+  ASSERT_TRUE(got.ok()) << got.status();
+  auto want = MaterializingReference(*root, *input);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  RecordBatchPtr g = (*got)->Combine();
+  RecordBatchPtr w = (*want)->Combine();
+  ASSERT_TRUE(g->schema()->Equals(*w->schema()));
+  ASSERT_EQ(g->num_rows(), w->num_rows());
+  ASSERT_GT(w->num_rows(), 0u);
+  for (size_t c = 0; c < w->num_columns(); ++c) {
+    for (size_t r = 0; r < w->num_rows(); ++r) {
+      ASSERT_EQ(g->column(c)->IsNull(r), w->column(c)->IsNull(r))
+          << "col " << c << " row " << r;
+      if (w->column(c)->IsNull(r)) continue;
+      EXPECT_TRUE(g->column(c)->GetDatum(r) == w->column(c)->GetDatum(r))
+          << "col " << c << " row " << r << ": "
+          << g->column(c)->GetDatum(r).ToString() << " vs "
+          << w->column(c)->GetDatum(r).ToString();
+    }
+  }
+  // The first filter sees every batch; batch 0 leaves it empty.
+  const OperatorCounters& filter = stats.ForKind(RelKind::kFilter);
+  EXPECT_EQ(stats.batches_scanned, 6u);
+  size_t n_filters = 0;
+  for (const Rel* r = root.get(); r != nullptr; r = r->input.get()) {
+    if (r->kind == RelKind::kFilter) ++n_filters;
+  }
+  // Each later filter skips the emptied batch and runs on the other five
+  // under the selection its predecessor produced.
+  EXPECT_EQ(filter.invocations, 6u + (n_filters - 1) * 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chains, ExecuteRelOracle,
+    ::testing::Values(
+        OracleCase{"FilterFilterProjectAggregate",
+                   &FilterFilterProjectAggregate},
+        OracleCase{"FilterSortFetch", &FilterSortFetch},
+        OracleCase{"FilterFetch", &FilterFetch}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pocs::exec

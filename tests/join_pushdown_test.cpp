@@ -142,6 +142,19 @@ TEST(JoinPushdownTest, EmptyBuildSideYieldsEmptyGroups) {
   ASSERT_TRUE(pushed.ok()) << pushed.status();
   EXPECT_EQ(pushed->table->num_rows(), 0u);
   EXPECT_EQ(Canonicalize(*pushed->table), Canonicalize(*reference->table));
+
+  // Without GROUP BY the answer is SQL's one global row, COUNT(*) = 0 and
+  // SUM NULL, whether the partial phase ran in storage (no partial row
+  // survives the probe) or engine-side.
+  const std::string global =
+      "SELECT COUNT(*) AS lines, SUM(extendedprice) AS revenue "
+      "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+      "WHERE s_nationkey < 0";
+  for (const char* catalog : {"ocs_engine", "ocs", "hive_raw"}) {
+    auto result = fx.bed->Run(global, catalog);
+    ASSERT_TRUE(result.ok()) << catalog << ": " << result.status();
+    EXPECT_EQ(Canonicalize(*result->table), "0|NULL\n") << catalog;
+  }
 }
 
 // Starve the bloom to ~1 bit per key: most non-matching fact rows become

@@ -6,6 +6,7 @@
 // paper's Fig. 5 is built on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 
@@ -129,9 +130,40 @@ TEST_F(ObservabilityFixture, EngineCountersMirrorIntoProcessRegistry) {
   EXPECT_GT(reg.GetHistogram("engine.query_wall_seconds").count(), 0u);
 }
 
+TEST_F(ObservabilityFixture, EngineResidualRunsThroughExecOperators) {
+  // hive_raw pushes nothing, so the WHERE filter is engine residual: it
+  // runs in exec::ExecuteRel and sees every row that left storage.
+  auto& filter_rows_in = metrics::Registry::Default().GetCounter(
+      "exec.Filter.rows_in");
+  const uint64_t before = filter_rows_in.value();
+  auto result = testbed->Run(
+      "SELECT vertex_id, AVG(e) AS m FROM laghos WHERE x < 2.0 "
+      "GROUP BY vertex_id ORDER BY m DESC LIMIT 5",
+      "hive_raw");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->metrics.rows_from_storage, 0u);
+  EXPECT_EQ(filter_rows_in.value() - before,
+            result->metrics.rows_from_storage);
+
+  // One merge.* entry per merge-stage operator kind: the final aggregate,
+  // the finalize and output projections (one kind), and the top-N.
+  std::map<std::string, int> merge_entries;
+  bool post_scan = false;
+  for (const auto& t : result->metrics.operator_timings) {
+    if (t.name.rfind("merge.", 0) == 0) ++merge_entries[t.name];
+    if (t.name == "post_scan") post_scan = true;
+  }
+  EXPECT_TRUE(post_scan);
+  const std::map<std::string, int> expected = {{"merge.Aggregate", 1},
+                                               {"merge.Project", 1},
+                                               {"merge.Sort", 1},
+                                               {"merge.Fetch", 1}};
+  EXPECT_EQ(merge_entries, expected);
+}
+
 TEST_F(ObservabilityFixture, LegacyEventFieldsStayPopulated) {
-  // Listeners written against the flat pre-QueryStats fields keep
-  // working: capture a raw event through a secondary listener.
+  // The event's identity fields reach a secondary listener: capture a
+  // raw event next to the testbed's collector.
   struct Capture final : connector::EventListener {
     connector::QueryEvent event;
     void QueryCompleted(const connector::QueryEvent& e) override {
@@ -142,11 +174,6 @@ TEST_F(ObservabilityFixture, LegacyEventFieldsStayPopulated) {
   testbed->engine().AddEventListener(capture);
   auto result = testbed->Run(LaghosQuery(), "ocs");
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(capture->event.bytes_from_storage,
-            capture->event.stats.bytes_from_storage);
-  EXPECT_EQ(capture->event.rows_from_storage,
-            capture->event.stats.rows_returned);
-  EXPECT_GT(capture->event.execution_seconds, 0.0);
   EXPECT_EQ(capture->event.connector_id, "ocs");
   EXPECT_FALSE(capture->event.query_id.empty());
 }
