@@ -219,7 +219,7 @@ void RecordCollectorTotals(workloads::Testbed& testbed,
   report->AddExact(prefix + ".rows_scanned",
                    static_cast<double>(totals.rows_scanned), "rows");
   report->AddExact(prefix + ".rows_returned",
-                   static_cast<double>(totals.rows_returned), "rows");
+                   static_cast<double>(totals.rows_from_storage), "rows");
   report->AddExact(prefix + ".bytes_moved",
                    static_cast<double>(totals.bytes_moved()), "bytes");
   report->AddExact(prefix + ".pushdown_accepted",

@@ -733,19 +733,10 @@ Result<std::unique_ptr<connector::PageSource>> OcsConnector::CreatePageSource(
     } else {
       stats.storage_compute_seconds = result.stats.storage_compute_seconds;
       stats.media_read_seconds = result.stats.media_read_seconds;
-      stats.row_groups_total = result.stats.row_groups_total;
-      stats.row_groups_skipped = result.stats.row_groups_skipped;
-      stats.row_groups_lazy_skipped = result.stats.row_groups_lazy_skipped;
-      stats.row_groups_hint_skipped = result.stats.row_groups_hint_skipped;
-      stats.bloom_rows_pruned = result.stats.bloom_rows_pruned;
-      stats.rows_dict_filtered = result.stats.rows_dict_filtered;
-      stats.rows_late_materialized = result.stats.rows_late_materialized;
       stats.rows_scanned = result.stats.rows_scanned;
-      // Level-1 (storage-side row-group cache) accounting rides back on
-      // the result; fold it into this split's stats.
-      stats.cache_hits += result.stats.cache_hits;
-      stats.cache_misses += result.stats.cache_misses;
-      stats.cache_bytes_saved += result.stats.cache_bytes_saved;
+      // The storage scan's counters, including its row-group cache
+      // (level 1), ride back on the result.
+      static_cast<ScanCounters&>(stats) += result.stats;
       object_version = result.stats.object_version;
       data_bytes_received = info.bytes_received;
       if (info.retries > 0) {

@@ -224,20 +224,11 @@ void FoldSourceStats(const PageSourceStats& s, QueryMetrics* m,
   m->rows_scanned += s.rows_scanned;
   m->ir_generation += s.ir_generation_seconds;
   m->storage_compute_seconds += s.storage_compute_seconds;
-  m->row_groups_total += s.row_groups_total;
-  m->row_groups_skipped += s.row_groups_skipped;
   m->retries += s.dispatch_retries;
   m->fallbacks += s.fallbacks;
   m->failed_splits += s.failed_dispatches;
-  m->row_groups_lazy_skipped += s.row_groups_lazy_skipped;
-  m->row_groups_hint_skipped += s.row_groups_hint_skipped;
-  m->cache_hits += s.cache_hits;
-  m->cache_misses += s.cache_misses;
-  m->cache_bytes_saved += s.cache_bytes_saved;
   m->bytes_refetched_on_retry += s.bytes_refetched_on_retry;
-  m->bloom_rows_pruned += s.bloom_rows_pruned;
-  m->rows_dict_filtered += s.rows_dict_filtered;
-  m->rows_late_materialized += s.rows_late_materialized;
+  *m += static_cast<const ScanCounters&>(s);
 }
 
 // The Table 3 stage entries both paths report ahead of the merge stage.
@@ -782,12 +773,11 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
                     double residual_compute) {
     result.table = current->Combine();
     for (const auto& d : metrics.pushdown_decisions) {
+      ++metrics.pushdown_offered;
+      ++(d.accepted ? metrics.pushdown_accepted : metrics.pushdown_rejected);
       if (d.kind == connector::PushedOperator::Kind::kPartialAggregation) {
-        if (d.accepted) {
-          ++metrics.partial_agg_accepted;
-        } else {
-          ++metrics.partial_agg_rejected;
-        }
+        ++(d.accepted ? metrics.partial_agg_accepted
+                      : metrics.partial_agg_rejected);
       } else if (d.kind == connector::PushedOperator::Kind::kJoinKeyBloom &&
                  d.accepted) {
         ++metrics.bloom_pushed;
@@ -814,43 +804,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
     qs.wall_seconds = total_timer.ElapsedSeconds();
     qs.simulated_seconds = metrics.total;
     qs.result_rows = result.table ? result.table->num_rows() : 0;
-    qs.rows_scanned = metrics.rows_scanned;
-    qs.rows_returned = metrics.rows_from_storage;
-    qs.bytes_from_storage = metrics.bytes_from_storage;
-    qs.bytes_to_storage = metrics.bytes_to_storage;
-    qs.splits = metrics.splits;
-    qs.splits_planned = metrics.splits_planned;
-    qs.splits_pruned = metrics.splits_pruned;
-    qs.metadata_cache_hits = metrics.metadata_cache_hits;
-    qs.metadata_cache_misses = metrics.metadata_cache_misses;
-    qs.metadata_cache_stale = metrics.metadata_cache_stale;
-    qs.metadata_cache_errors = metrics.metadata_cache_errors;
-    qs.row_groups_total = metrics.row_groups_total;
-    qs.row_groups_skipped = metrics.row_groups_skipped;
-    qs.retries = metrics.retries;
-    qs.fallbacks = metrics.fallbacks;
-    qs.failed_splits = metrics.failed_splits;
-    qs.row_groups_lazy_skipped = metrics.row_groups_lazy_skipped;
-    qs.row_groups_hint_skipped = metrics.row_groups_hint_skipped;
-    qs.cache_hits = metrics.cache_hits;
-    qs.cache_misses = metrics.cache_misses;
-    qs.cache_bytes_saved = metrics.cache_bytes_saved;
-    qs.bytes_refetched_on_retry = metrics.bytes_refetched_on_retry;
-    qs.partial_agg_accepted = metrics.partial_agg_accepted;
-    qs.partial_agg_rejected = metrics.partial_agg_rejected;
-    qs.bloom_pushed = metrics.bloom_pushed;
-    qs.bloom_rows_pruned = metrics.bloom_rows_pruned;
-    qs.partial_agg_merges = metrics.partial_agg_merges;
-    qs.rows_dict_filtered = metrics.rows_dict_filtered;
-    qs.rows_late_materialized = metrics.rows_late_materialized;
-    for (const auto& d : metrics.pushdown_decisions) {
-      ++qs.pushdown_offered;
-      if (d.accepted) {
-        ++qs.pushdown_accepted;
-      } else {
-        ++qs.pushdown_rejected;
-      }
-    }
+    static_cast<QueryCounters&>(qs) = metrics;
     qs.operator_timings = metrics.operator_timings;
 
     for (const auto& listener : listeners_) listener->QueryCompleted(event);

@@ -1,14 +1,18 @@
 // Simulated end-to-end timing (DESIGN.md §4).
 //
-// Compute is measured (real wall time of real work); network transfer and
-// storage-side compute are aggregated per stage and combined with a
-// bottleneck ("roofline") model: a pipelined scan stage takes
+// Compute is measured (real wall time of real work); network transfer,
+// storage-side compute and media reads are aggregated per scan stage and
+// combined with a bottleneck ("roofline") model: a pipelined scan stage
+// takes
 //   max( bytes / shared link bandwidth,
-//        Σ storage-compute / storage parallelism,
-//        Σ compute-side split work / worker threads )
-//   + per-split latency amortized over parallel workers.
-// This reproduces the paper's regimes: transfer-bound when raw data moves
-// (no pushdown), storage-compute-bound under full pushdown.
+//        Σ storage-compute / (storage parallelism × nodes),
+//        Σ media reads / nodes )
+//   + per-split latency amortized over parallel workers,
+// and a sequential one (the default) sums the same terms. Compute-side
+// residual and decode work is not a scan-stage term: the engine books it
+// under post_scan_execution. This reproduces the paper's regimes:
+// transfer-bound when raw data moves (no pushdown), storage-compute-bound
+// under full pushdown.
 #pragma once
 
 #include <algorithm>
@@ -35,9 +39,6 @@ struct SplitStageTotals {
   uint64_t messages = 0;          // request/response rounds
   double storage_compute_seconds = 0;  // Σ, already cpu-slowdown-scaled
   double media_read_seconds = 0;       // Σ modelled SSD reads (serialized)
-  // Σ compute-side split work. The engine leaves it 0: it books residual
-  // and decode work under post_scan_execution instead (DESIGN.md §4).
-  double compute_seconds = 0;
   size_t splits = 0;
 };
 
@@ -52,9 +53,6 @@ inline double SplitStageSeconds(const SplitStageTotals& totals,
                    (static_cast<double>(std::max<size_t>(
                         config.storage_parallelism, 1)) *
                     nodes);
-  double compute = totals.compute_seconds /
-                   static_cast<double>(std::max<size_t>(
-                       config.worker_threads, 1));
   double parallel = std::max<size_t>(
       std::min(config.worker_threads, std::max<size_t>(totals.splits, 1)), 1);
   double latency = static_cast<double>(totals.messages) *
@@ -63,9 +61,9 @@ inline double SplitStageSeconds(const SplitStageTotals& totals,
   // round-robin, so N nodes read in parallel.
   double media = totals.media_read_seconds / nodes;
   if (config.pipelined) {
-    return std::max({transfer, storage, compute, media}) + latency;
+    return std::max({transfer, storage, media}) + latency;
   }
-  return transfer + storage + compute + media + latency;
+  return transfer + storage + media + latency;
 }
 
 }  // namespace pocs::engine

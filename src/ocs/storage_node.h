@@ -22,6 +22,7 @@
 #include "columnar/column.h"
 #include "common/hash.h"
 #include "common/lru_cache.h"
+#include "common/query_counters.h"
 #include "common/thread_pool.h"
 #include "exec/plan_executor.h"
 #include "objectstore/object_store.h"
@@ -62,38 +63,13 @@ struct StorageNodeFaults {
   std::atomic<double> exec_delay_seconds{0};
 };
 
-struct OcsExecStats {
+// Per-plan storage-side accounting, returned on the OcsResult wire. The
+// scan counters (common/query_counters.h) ride in list order between
+// object_bytes_read and object_version.
+struct OcsExecStats : ScanCounters {
   uint64_t rows_scanned = 0;
   uint64_t rows_output = 0;
   uint64_t object_bytes_read = 0;      // storage-media bytes touched
-  uint64_t row_groups_total = 0;
-  uint64_t row_groups_skipped = 0;     // pruned via chunk statistics
-  // Row groups whose pruning predicates, evaluated against the decoded
-  // predicate columns, matched zero rows — remaining columns were never
-  // materialized (the lazy-column fast path).
-  uint64_t row_groups_lazy_skipped = 0;
-  // Row groups skipped on the coordinator's row-group hint (stats-based
-  // pruning at plan time, DESIGN.md §13). Only counted when the hint's
-  // version matched the object — a stale hint is ignored wholesale.
-  uint64_t row_groups_hint_skipped = 0;
-  // Decoded row-group cache accounting for this plan.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_bytes_saved = 0;      // media bytes avoided by hits
-  // Rows dropped by the pushed join-key bloom filter before leaving the
-  // node (DESIGN.md §14). Only counted when the filter's version pin
-  // matched the object — a stale bloom is ignored wholesale, like a
-  // stale row-group hint.
-  uint64_t bloom_rows_pruned = 0;
-  // Rows rejected by predicate evaluation in the dictionary code domain
-  // (DESIGN.md §15): the predicate was tested once per distinct value and
-  // these rows' code bytes failed the match table — their string values
-  // were never decoded.
-  uint64_t rows_dict_filtered = 0;
-  // Rows whose string values were materialized from a dictionary page
-  // under a selection (only predicate/bloom survivors decode; the rest
-  // of the page stays encoded).
-  uint64_t rows_late_materialized = 0;
   // Version of the object this plan scanned (0 if unknown) — the
   // connector's split-result cache keys on it.
   uint64_t object_version = 0;

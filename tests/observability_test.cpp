@@ -3,21 +3,29 @@
 // scanned vs returned, bytes moved, pushdown accept/reject counts, and
 // per-operator timings — for both the full-pushdown (ocs) and
 // no-pushdown (hive_raw) paths, with the cross-path relationships the
-// paper's Fig. 5 is built on.
+// paper's Fig. 5 is built on. Every query counter must reach the event
+// unchanged from QueryResult::metrics, and from an event the collector's
+// totals and the engine.* registry counters.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "connector/query_stats_collector.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
+#include "workloads/tpch.h"
 
 namespace pocs::workloads {
 namespace {
 
+using connector::QueryEvent;
 using connector::QueryStats;
 using connector::QueryStatsCollector;
 
@@ -34,6 +42,17 @@ struct ObservabilityFixture : ::testing::Test {
     auto data = GenerateLaghos(config);
     ASSERT_TRUE(data.ok()) << data.status().ToString();
     ASSERT_TRUE(testbed->Ingest(std::move(*data)).ok());
+    // A small lineitem ⋈ supplier pair for the join query.
+    TpchConfig tpch;
+    tpch.num_files = kFiles;
+    tpch.rows_per_file = kRowsPerFile;
+    tpch.rows_per_group = 1 << 10;
+    auto fact = GenerateLineitem(tpch);
+    ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+    ASSERT_TRUE(testbed->Ingest(std::move(*fact)).ok());
+    auto dim = GenerateSupplier(SupplierConfig{});
+    ASSERT_TRUE(dim.ok()) << dim.status().ToString();
+    ASSERT_TRUE(testbed->Ingest(std::move(*dim)).ok());
   }
   static void TearDownTestSuite() { testbed.reset(); }
 
@@ -47,6 +66,22 @@ struct ObservabilityFixture : ::testing::Test {
 };
 
 std::unique_ptr<Testbed> ObservabilityFixture::testbed;
+
+// (name, value) of every query counter, in list order.
+std::vector<std::pair<std::string, uint64_t>> CounterValues(
+    const QueryCounters& counters) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  counters.ForEach([&](std::string_view name, uint64_t value) {
+    out.emplace_back(std::string(name), value);
+  });
+  return out;
+}
+
+// Registry name of a query counter: engine.<name>, except the one alias.
+std::string EngineCounterName(std::string_view field) {
+  return field == "rows_from_storage" ? "engine.rows_returned"
+                                      : "engine." + std::string(field);
+}
 
 TEST_F(ObservabilityFixture, PushdownQueryPopulatesQueryStats) {
   QueryStats stats = RunAndGetStats("ocs");
@@ -64,7 +99,7 @@ TEST_F(ObservabilityFixture, PushdownQueryPopulatesQueryStats) {
             stats.pushdown_accepted + stats.pushdown_rejected);
   // The Laghos query's filter is highly selective: far fewer rows cross
   // the storage → compute boundary than are scanned at storage.
-  EXPECT_LT(stats.rows_returned, stats.rows_scanned);
+  EXPECT_LT(stats.rows_from_storage, stats.rows_scanned);
 
   // Per-operator timings include the Table 3 stages.
   std::set<std::string> names;
@@ -82,7 +117,7 @@ TEST_F(ObservabilityFixture, NonPushdownQueryScansEverythingAtCompute) {
   // every generated row crosses the wire and is scanned compute-side.
   EXPECT_EQ(stats.pushdown_accepted, 0u);
   EXPECT_EQ(stats.rows_scanned, kFiles * kRowsPerFile);
-  EXPECT_EQ(stats.rows_returned, kFiles * kRowsPerFile);
+  EXPECT_EQ(stats.rows_from_storage, kFiles * kRowsPerFile);
   EXPECT_GT(stats.bytes_moved(), 0u);
   EXPECT_GT(stats.result_rows, 0u);
 }
@@ -91,7 +126,7 @@ TEST_F(ObservabilityFixture, PushdownMovesFewerBytesThanRaw) {
   QueryStats ocs = RunAndGetStats("ocs");
   QueryStats raw = RunAndGetStats("hive_raw");
   EXPECT_LT(ocs.bytes_moved(), raw.bytes_moved());
-  EXPECT_LT(ocs.rows_returned, raw.rows_returned);
+  EXPECT_LT(ocs.rows_from_storage, raw.rows_from_storage);
   // Both answer the same question over the same data.
   EXPECT_EQ(ocs.result_rows, raw.result_rows);
 }
@@ -128,6 +163,29 @@ TEST_F(ObservabilityFixture, EngineCountersMirrorIntoProcessRegistry) {
   EXPECT_EQ(reg.GetCounter("engine.queries").value(), queries_before + 1);
   EXPECT_GT(reg.GetCounter("engine.rows_scanned").value(), scanned_before);
   EXPECT_GT(reg.GetHistogram("engine.query_wall_seconds").count(), 0u);
+}
+
+TEST_F(ObservabilityFixture, EventCountersEqualQueryMetrics) {
+  struct Capture final : connector::EventListener {
+    QueryEvent event;
+    void QueryCompleted(const QueryEvent& e) override { event = e; }
+  };
+  auto capture = std::make_shared<Capture>();
+  testbed->engine().AddEventListener(capture);
+
+  auto pushdown = testbed->Run(LaghosQuery(), "ocs");
+  ASSERT_TRUE(pushdown.ok()) << pushdown.status().ToString();
+  EXPECT_GE(pushdown->metrics.pushdown_accepted, 1u);
+  EXPECT_EQ(CounterValues(capture->event.stats),
+            CounterValues(pushdown->metrics));
+
+  auto join = testbed->Run(TpchJoinQuery(), "ocs");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_GE(join->metrics.partial_agg_accepted, 1u);
+  EXPECT_GE(join->metrics.bloom_pushed, 1u);
+  EXPECT_GT(join->metrics.bloom_rows_pruned, 0u);
+  EXPECT_GT(join->metrics.partial_agg_merges, 0u);
+  EXPECT_EQ(CounterValues(capture->event.stats), CounterValues(join->metrics));
 }
 
 TEST_F(ObservabilityFixture, EngineResidualRunsThroughExecOperators) {
@@ -176,6 +234,48 @@ TEST_F(ObservabilityFixture, LegacyEventFieldsStayPopulated) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(capture->event.connector_id, "ocs");
   EXPECT_FALSE(capture->event.query_id.empty());
+}
+
+TEST(QueryStatsCollectorTest, EveryCounterRollsUpToTotalsAndRegistry) {
+  QueryEvent event;
+  event.connector_id = "rollup";
+  event.stats.result_rows = 3;
+  event.stats.wall_seconds = 0.5;
+  event.stats.simulated_seconds = 2.0;
+  event.stats.queue_wait_seconds = 0.25;
+  uint64_t next = 101;
+  event.stats.ForEach([&](std::string_view, uint64_t& v) { v = next++; });
+
+  auto& reg = metrics::Registry::Default();
+  std::map<std::string, uint64_t> before;
+  event.stats.ForEach([&](std::string_view name, uint64_t) {
+    before[std::string(name)] = reg.GetCounter(EngineCounterName(name)).value();
+  });
+  const uint64_t queries_before = reg.GetCounter("engine.queries").value();
+
+  QueryStatsCollector collector;
+  collector.QueryCompleted(event);
+
+  const auto expected = CounterValues(event.stats);
+  for (const auto& totals : {collector.totals(), collector.TotalsFor("rollup")}) {
+    EXPECT_EQ(CounterValues(totals), expected);
+    EXPECT_EQ(totals.queries, 1u);
+    EXPECT_EQ(totals.result_rows, 3u);
+    EXPECT_DOUBLE_EQ(totals.wall_seconds, 0.5);
+    EXPECT_DOUBLE_EQ(totals.simulated_seconds, 2.0);
+    EXPECT_DOUBLE_EQ(totals.queue_wait_seconds, 0.25);
+  }
+  EXPECT_EQ(reg.GetCounter("engine.queries").value(), queries_before + 1);
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(reg.GetCounter(EngineCounterName(name)).value() - before[name],
+              value)
+        << name;
+  }
+  // rows_from_storage is mirrored under its alias, engine.rows_returned,
+  // only.
+  for (const auto& sample : reg.Snapshot()) {
+    EXPECT_NE(sample.name, "engine.rows_from_storage");
+  }
 }
 
 }  // namespace

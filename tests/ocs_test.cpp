@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 
 #include "format/parquet_lite.h"
 #include "metastore/metastore.h"
@@ -200,37 +201,83 @@ TEST(StorageNodeTest, SchemaMismatchRejected) {
 }
 
 TEST(OcsResultWireTest, EncodeDecode) {
+  // Every field gets a distinct value; the scan counters 1000, 1001, ...
+  // in list order.
   OcsResult result;
   result.stats.rows_scanned = 100;
   result.stats.rows_output = 5;
   result.stats.object_bytes_read = 4096;
-  result.stats.row_groups_total = 10;
-  result.stats.row_groups_skipped = 8;
-  result.stats.row_groups_lazy_skipped = 1;
-  result.stats.cache_hits = 3;
-  result.stats.cache_misses = 2;
-  result.stats.cache_bytes_saved = 2048;
-  result.stats.rows_dict_filtered = 42;
-  result.stats.rows_late_materialized = 17;
+  uint64_t next = 1000;
+  result.stats.ForEach([&](std::string_view, uint64_t& v) { v = next++; });
   result.stats.object_version = 7;
   result.stats.storage_compute_seconds = 0.125;
+  result.stats.media_read_seconds = 0.5;
+  result.stats.exec_delay_seconds = 0.25;
   result.arrow_ipc = {1, 2, 3};
   BufferWriter w;
   EncodeOcsResult(result, &w);
   BufferReader r(w.span());
   auto rt = DecodeOcsResult(&r);
   ASSERT_TRUE(rt.ok());
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(rt->stats.rows_scanned, 100u);
-  EXPECT_EQ(rt->stats.row_groups_skipped, 8u);
-  EXPECT_EQ(rt->stats.row_groups_lazy_skipped, 1u);
-  EXPECT_EQ(rt->stats.cache_hits, 3u);
-  EXPECT_EQ(rt->stats.cache_misses, 2u);
-  EXPECT_EQ(rt->stats.cache_bytes_saved, 2048u);
-  EXPECT_EQ(rt->stats.rows_dict_filtered, 42u);
-  EXPECT_EQ(rt->stats.rows_late_materialized, 17u);
+  EXPECT_EQ(rt->stats.rows_output, 5u);
+  EXPECT_EQ(rt->stats.object_bytes_read, 4096u);
+  uint64_t expected = 1000;
+  rt->stats.ForEach([&](std::string_view name, uint64_t v) {
+    EXPECT_EQ(v, expected++) << name;
+  });
+  EXPECT_EQ(expected, next);
   EXPECT_EQ(rt->stats.object_version, 7u);
   EXPECT_DOUBLE_EQ(rt->stats.storage_compute_seconds, 0.125);
+  EXPECT_DOUBLE_EQ(rt->stats.media_read_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(rt->stats.exec_delay_seconds, 0.25);
   EXPECT_EQ(rt->arrow_ipc, (Bytes{1, 2, 3}));
+}
+
+TEST(OcsResultWireTest, GoldenBytesAndTruncatedPrefixes) {
+  // Fields are set by name so a reordered or re-typed wire field changes
+  // the bytes.
+  OcsResult result;
+  OcsExecStats& s = result.stats;
+  s.rows_scanned = 100;
+  s.rows_output = 5;
+  s.object_bytes_read = 4096;
+  s.row_groups_total = 10;
+  s.row_groups_skipped = 8;
+  s.row_groups_lazy_skipped = 1;
+  s.row_groups_hint_skipped = 2;
+  s.cache_hits = 3;
+  s.cache_misses = 4;
+  s.cache_bytes_saved = 2048;
+  s.bloom_rows_pruned = 300;
+  s.rows_dict_filtered = 42;
+  s.rows_late_materialized = 17;
+  s.object_version = 7;
+  s.storage_compute_seconds = 0.125;
+  s.media_read_seconds = 0.5;
+  s.exec_delay_seconds = 0.25;
+  result.arrow_ipc = {1, 2, 3};
+  const Bytes golden = {
+      0x64, 0x05, 0x80, 0x20, 0x0a, 0x08, 0x01, 0x02, 0x03, 0x04, 0x80, 0x10,
+      0xac, 0x02, 0x2a, 0x11, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,
+      0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0xd0, 0x3f, 0x03, 0x01, 0x02, 0x03};
+  BufferWriter w;
+  EncodeOcsResult(result, &w);
+  EXPECT_EQ(Bytes(w.span().begin(), w.span().end()), golden);
+
+  BufferReader whole(golden);
+  auto decoded = DecodeOcsResult(&whole);
+  ASSERT_TRUE(decoded.ok());
+  BufferWriter again;
+  EncodeOcsResult(*decoded, &again);
+  EXPECT_EQ(Bytes(again.span().begin(), again.span().end()), golden);
+
+  for (size_t n = 0; n < golden.size(); ++n) {
+    BufferReader prefix(ByteSpan(golden.data(), n));
+    EXPECT_FALSE(DecodeOcsResult(&prefix).ok()) << "prefix of " << n;
+  }
 }
 
 // ---- cluster --------------------------------------------------------------
