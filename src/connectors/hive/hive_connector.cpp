@@ -3,6 +3,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "format/parquet_lite.h"
+#include "ocs/storage_node.h"
 
 namespace pocs::connectors {
 
@@ -13,61 +14,6 @@ using connector::PushedOperator;
 using connector::ScanSpec;
 using connector::Split;
 using connector::TableHandle;
-using substrait::Expression;
-using substrait::ExprKind;
-using substrait::ScalarFunc;
-
-bool DecomposeSelectPredicate(
-    const Expression& predicate, const columnar::Schema& schema,
-    std::vector<objectstore::SelectPredicate>* terms) {
-  if (predicate.kind != ExprKind::kCall) return false;
-  if (predicate.func == ScalarFunc::kAnd) {
-    return DecomposeSelectPredicate(predicate.args[0], schema, terms) &&
-           DecomposeSelectPredicate(predicate.args[1], schema, terms);
-  }
-  if (!substrait::IsComparison(predicate.func)) return false;
-  const Expression* field = nullptr;
-  const Expression* literal = nullptr;
-  bool flipped = false;
-  if (predicate.args[0].kind == ExprKind::kFieldRef &&
-      predicate.args[1].kind == ExprKind::kLiteral) {
-    field = &predicate.args[0];
-    literal = &predicate.args[1];
-  } else if (predicate.args[1].kind == ExprKind::kFieldRef &&
-             predicate.args[0].kind == ExprKind::kLiteral) {
-    field = &predicate.args[1];
-    literal = &predicate.args[0];
-    flipped = true;
-  } else {
-    return false;
-  }
-  if (field->field_index < 0 ||
-      static_cast<size_t>(field->field_index) >= schema.num_fields()) {
-    return false;
-  }
-  columnar::CompareOp op;
-  switch (predicate.func) {
-    case ScalarFunc::kEq: op = columnar::CompareOp::kEq; break;
-    case ScalarFunc::kNe: op = columnar::CompareOp::kNe; break;
-    case ScalarFunc::kLt: op = columnar::CompareOp::kLt; break;
-    case ScalarFunc::kLe: op = columnar::CompareOp::kLe; break;
-    case ScalarFunc::kGt: op = columnar::CompareOp::kGt; break;
-    case ScalarFunc::kGe: op = columnar::CompareOp::kGe; break;
-    default: return false;
-  }
-  if (flipped) {
-    switch (op) {
-      case columnar::CompareOp::kLt: op = columnar::CompareOp::kGt; break;
-      case columnar::CompareOp::kLe: op = columnar::CompareOp::kGe; break;
-      case columnar::CompareOp::kGt: op = columnar::CompareOp::kLt; break;
-      case columnar::CompareOp::kGe: op = columnar::CompareOp::kLe; break;
-      default: break;
-    }
-  }
-  terms->push_back(
-      {schema.field(field->field_index).name, op, literal->literal});
-  return true;
-}
 
 Result<TableHandle> HiveConnector::GetTableHandle(
     const std::string& schema_name, const std::string& table) {
@@ -127,7 +73,7 @@ Result<bool> HiveConnector::OfferPushdown(
     return RecordHivePushdownDecision(false);
   }
   std::vector<objectstore::SelectPredicate> terms;
-  if (!DecomposeSelectPredicate(op.predicate, *spec->output_schema, &terms)) {
+  if (!ocs::CollectPruningTerms(op.predicate, *spec->output_schema, &terms)) {
     decision->accepted = false;
     decision->reason = "predicate not expressible in the Select API";
     return RecordHivePushdownDecision(false);
@@ -356,7 +302,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
     // Predicate field refs are relative to the scan schema (they may name
     // columns dropped from the result projection).
-    if (!DecomposeSelectPredicate(op.predicate, *scan_schema,
+    if (!ocs::CollectPruningTerms(op.predicate, *scan_schema,
                                   &request.predicates)) {
       return Status::Internal("hive: accepted filter not expressible");
     }

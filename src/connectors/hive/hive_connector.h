@@ -89,10 +89,4 @@ class HiveConnector final : public connector::Connector {
   HiveConnectorConfig config_;
 };
 
-// Decompose a predicate into conjunctive (column cmp literal) terms the
-// Select API can express. Returns false if any part is inexpressible.
-bool DecomposeSelectPredicate(
-    const substrait::Expression& predicate, const columnar::Schema& schema,
-    std::vector<objectstore::SelectPredicate>* terms);
-
 }  // namespace pocs::connectors

@@ -11,10 +11,8 @@
 #include "engine/analyzer.h"
 #include "engine/optimizer.h"
 #include "engine/two_phase.h"
-#include "exec/hash_aggregator.h"
 #include "exec/plan_executor.h"
 #include "sql/parser.h"
-#include "substrait/eval.h"
 #include "substrait/rel.h"
 
 namespace pocs::engine {
@@ -23,7 +21,6 @@ using columnar::RecordBatchPtr;
 using columnar::SchemaPtr;
 using columnar::Table;
 using connector::PageSourceStats;
-using substrait::Expression;
 
 QueryEngine::QueryEngine(EngineConfig config) : config_(config) {
   pool_ = std::make_unique<ThreadPool>(config_.worker_threads);
@@ -58,18 +55,6 @@ struct SplitOutput {
   double compute_seconds = 0;  // residual operator time (ExecStats)
   Status status;
 };
-
-// Post-join projection of the join's fact-side probe loop.
-Result<RecordBatchPtr> ApplyProjectNode(const PlanNode& node,
-                                        const columnar::RecordBatch& batch) {
-  std::vector<columnar::ColumnPtr> cols;
-  for (const Expression& e : node.expressions) {
-    POCS_ASSIGN_OR_RETURN(columnar::ColumnPtr col,
-                          substrait::Evaluate(e, batch));
-    cols.push_back(std::move(col));
-  }
-  return columnar::MakeBatch(node.output_schema, std::move(cols));
-}
 
 // Releases an admission slot on every exit path of Execute.
 struct TicketReleaser {
@@ -140,11 +125,13 @@ Result<std::unique_ptr<Rel>> LowerChain(SchemaPtr input_schema,
   return chain;
 }
 
-// The engine-side partial phase of `agg` (engine/two_phase.h).
+// The engine-side partial phase of `agg` (engine/two_phase.h), grouped by
+// `group_keys` of the chain's output.
 std::unique_ptr<Rel> PartialAggregate(const PlanNode& agg,
+                                      std::vector<int> group_keys,
                                       std::unique_ptr<Rel> chain) {
   chain = StackRel(RelKind::kAggregate, std::move(chain));
-  chain->group_keys = agg.group_keys;
+  chain->group_keys = std::move(group_keys);
   chain->aggregates = PartialAggSpecs(agg.aggregates);
   chain->agg_phase = substrait::AggPhase::kPartial;
   return chain;
@@ -177,23 +164,6 @@ double OperatorSeconds(const exec::ExecStats& stats) {
     seconds += oc.seconds;
   }
   return seconds;
-}
-
-// Sign-extended 64-bit join key for one row; false when the value is null
-// (never joins) or the column has no integer join-key form.
-bool JoinKeyAt(const columnar::Column& col, size_t row, int64_t* out) {
-  if (col.IsNull(row)) return false;
-  switch (col.type()) {
-    case columnar::TypeKind::kInt64:
-      *out = col.GetInt64(row);
-      return true;
-    case columnar::TypeKind::kInt32:
-    case columnar::TypeKind::kDate32:
-      *out = col.GetInt32(row);
-      return true;
-    default:
-      return false;
-  }
 }
 
 // Folds split planning's counts into the query metrics and the simulated
@@ -253,10 +223,11 @@ Result<std::shared_ptr<Table>> RunMergeStage(
     // No partial row reached the merge (every split pruned, none planned,
     // or no probe match): merge the partial state of zero rows, so the
     // global aggregate reads COUNT = 0 rather than a SUM over nothing.
-    exec::HashAggregator none(input->schema(), {},
-                              PartialAggSpecs(agg->aggregates));
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr zero_rows, none.Finish());
-    input->AppendBatch(std::move(zero_rows));
+    auto read = std::make_unique<Rel>();
+    read->base_schema = input->schema();
+    std::unique_ptr<Rel> none = PartialAggregate(*agg, {}, std::move(read));
+    exec::TableSource empty(input);
+    POCS_ASSIGN_OR_RETURN(input, exec::ExecuteRel(*none, empty));
   }
   auto rel = std::make_unique<Rel>();
   rel->base_schema = input->schema();
@@ -324,6 +295,144 @@ Result<std::shared_ptr<Table>> RunScanChain(PlanNode* scan,
   return out;
 }
 
+// Exact hash index over the build (dimension) side: build rows per join
+// key.
+using DimIndex = std::unordered_map<int64_t, std::vector<uint32_t>>;
+
+template <typename V, typename Fn>
+void JoinKeyLoop(const V* vals, const uint8_t* valid, size_t n, Fn& fn) {
+  for (size_t i = 0; i < n; ++i) {
+    if (valid != nullptr && valid[i] == 0) continue;
+    fn(static_cast<uint32_t>(i), static_cast<int64_t>(vals[i]));
+  }
+}
+
+// Calls fn(row, key) for each row of a join-key column with its key
+// sign-extended to 64 bits. The type dispatch is hoisted out of the row
+// loop and keys come from the typed value span, as in
+// exec::BloomSelectRows. A null key, or a column with no integer
+// join-key form, never joins.
+template <typename Fn>
+void ForEachJoinKey(const columnar::Column& col, Fn fn) {
+  const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
+  switch (col.type()) {
+    case columnar::TypeKind::kInt64:
+      JoinKeyLoop(col.i64_data().data(), valid, col.length(), fn);
+      break;
+    case columnar::TypeKind::kInt32:
+    case columnar::TypeKind::kDate32:
+      JoinKeyLoop(col.i32_data().data(), valid, col.length(), fn);
+      break;
+    default:
+      break;
+  }
+}
+
+// The probe of the join's fact side against the exact build index. Each
+// output column comes from the probed batch or from the matched build
+// row. The same probe serves raw fact rows (every fact column, then every
+// build column) and per-split partial rows (the user's group keys, then
+// the partial aggregate columns).
+struct JoinProbe {
+  struct OutputColumn {
+    bool from_probe;
+    int index;
+  };
+  const DimIndex* index = nullptr;
+  RecordBatchPtr build;
+  int key = -1;  // join-key column of the probed batches
+  std::vector<OutputColumn> columns;
+  SchemaPtr schema;
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+
+  // One output row per (probe row, matching build row) pair, in probe-row
+  // order; bloom false positives find no match and drop here. Nullptr
+  // when no row matches.
+  RecordBatchPtr Run(const columnar::RecordBatch& batch) {
+    rows_in += batch.num_rows();
+    columnar::SelectionVector sel;
+    columnar::SelectionVector build_sel;
+    ForEachJoinKey(*batch.column(key), [&](uint32_t row, int64_t k) {
+      auto it = index->find(k);
+      if (it == index->end()) return;
+      for (uint32_t build_row : it->second) {
+        sel.push_back(row);
+        build_sel.push_back(build_row);
+      }
+    });
+    if (sel.empty()) return nullptr;
+    rows_out += sel.size();
+    std::vector<columnar::ColumnPtr> cols;
+    cols.reserve(columns.size());
+    for (const OutputColumn& c : columns) {
+      cols.push_back(c.from_probe
+                         ? columnar::Take(*batch.column(c.index), sel)
+                         : columnar::Take(*build->column(c.index), build_sel));
+    }
+    return columnar::MakeBatch(schema, std::move(cols));
+  }
+};
+
+// The join's probed rows as an exec::BatchSource. Split after split it
+// runs the fact-side rel chain over the split's page source through
+// exec::ExecuteRel, then probes each surviving batch and yields the
+// matches. Folds each split's page-source stats into the query and adds
+// its operator and probe seconds to *residual.
+class ProbedSource : public exec::BatchSource {
+ public:
+  ProbedSource(connector::Connector& conn, const PlanNode& scan,
+               const std::vector<connector::Split>& splits,
+               const Rel& fact_rel, JoinProbe* probe, QueryMetrics* metrics,
+               SplitStageTotals* totals, double* residual)
+      : conn_(conn),
+        scan_(scan),
+        splits_(splits),
+        fact_rel_(fact_rel),
+        probe_(probe),
+        metrics_(metrics),
+        totals_(totals),
+        residual_(residual) {}
+
+  SchemaPtr schema() const override { return probe_->schema; }
+
+  Result<RecordBatchPtr> Next() override {
+    while (true) {
+      if (fact_rows_ && batch_ < fact_rows_->batches().size()) {
+        Stopwatch probe_timer;
+        RecordBatchPtr probed = probe_->Run(*fact_rows_->batches()[batch_++]);
+        *residual_ += probe_timer.ElapsedSeconds();
+        if (probed) return probed;
+        continue;
+      }
+      if (split_ == splits_.size()) return RecordBatchPtr{};
+      POCS_ASSIGN_OR_RETURN(std::unique_ptr<connector::PageSource> source,
+                            conn_.CreatePageSource(scan_.table,
+                                                   splits_[split_++],
+                                                   scan_.scan_spec));
+      exec::ExecStats stats;
+      POCS_ASSIGN_OR_RETURN(fact_rows_,
+                            exec::ExecuteRel(fact_rel_, *source, &stats));
+      batch_ = 0;
+      *residual_ += OperatorSeconds(stats);
+      FoldSourceStats(source->stats(), metrics_, totals_);
+    }
+  }
+
+ private:
+  connector::Connector& conn_;
+  const PlanNode& scan_;
+  const std::vector<connector::Split>& splits_;
+  const Rel& fact_rel_;
+  JoinProbe* probe_;
+  QueryMetrics* metrics_;
+  SplitStageTotals* totals_;
+  double* residual_;
+  size_t split_ = 0;
+  std::shared_ptr<Table> fact_rows_;  // the current split's fact rows
+  size_t batch_ = 0;
+};
+
 // Deterministic seed of pushed join-key blooms ("pocsjoin"): plans — and
 // therefore plan fingerprints and replay — are identical across runs.
 constexpr uint64_t kJoinBloomSeed = 0x706f63736a6f696eULL;
@@ -334,12 +443,16 @@ constexpr uint64_t kJoinBloomSeed = 0x706f63736a6f696eULL;
 //      build keys and offer the bloom to the fact-side connector, so
 //      storage drops non-matching rows before any bytes move;
 //   3. when the node directly above the join is an aggregation whose
-//      arguments are fact-side and the dim keys are unique, offer the
-//      partial phase to storage grouped by {fact keys ∪ join key} —
+//      arguments are fact-side and the dim keys are unique, split it in
+//      two phases: a per-split partial phase grouped by {fact keys ∪ join
+//      key}, offered to storage unless a fact filter stays engine-side —
 //      dim-referenced group keys are recovered from the matched dim row
 //      at probe time (functionally dependent on the unique join key);
-//   4. scan the fact side, probe the exact index (dropping bloom false
-//      positives), and merge partials / aggregate / collect;
+//   4. per fact split, run the fact filters (and the partial phase storage
+//      did not take) through exec::ExecuteRel, probe the exact index
+//      (dropping bloom false positives), and run the probed rows through
+//      one more ExecuteRel: the post-join operators and the query-wide
+//      partial phase, or — two-phase — a plain collect;
 //   5. apply the remaining merge-stage nodes.
 // Rejected or faulted pushdowns degrade transparently: the connector's
 // fallback re-runs the identical pushed plan engine-side, so this path
@@ -396,13 +509,11 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
 
   // ---- exact hash index + bloom over the build join keys -------------------
   Stopwatch build_timer;
-  const columnar::Column& build_col = *dim_batch->column(join->build_key);
-  std::unordered_map<int64_t, std::vector<uint32_t>> dim_index;
-  for (size_t r = 0; r < dim_batch->num_rows(); ++r) {
-    int64_t key;
-    if (!JoinKeyAt(build_col, r, &key)) continue;  // null never joins
-    dim_index[key].push_back(static_cast<uint32_t>(r));
-  }
+  DimIndex dim_index;
+  ForEachJoinKey(*dim_batch->column(join->build_key),
+                 [&](uint32_t row, int64_t key) {
+                   dim_index[key].push_back(row);
+                 });
   bool keys_unique = true;
   for (const auto& [key, rows] : dim_index) {
     if (rows.size() > 1) {
@@ -471,7 +582,7 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
   bool two_phase = false;  // per-split partial + engine merge (either side)
   std::vector<int> storage_keys;  // fact-schema indices pushed as group keys
   int probe_pos = -1;             // join-key position within storage_keys
-  if (agg_node && post_stream.empty() && fact_stream.empty() && keys_unique) {
+  if (agg_node && post_stream.empty() && keys_unique) {
     bool eligible = true;
     for (const auto& aspec : agg_node->aggregates) {
       if (aspec.func == substrait::AggFunc::kCountStar) continue;
@@ -493,6 +604,9 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
         probe_pos = static_cast<int>(storage_keys.size());
         storage_keys.push_back(join->probe_key);
       }
+    }
+    // Storage may only aggregate rows no engine-side fact filter drops.
+    if (two_phase && fact_stream.empty()) {
       connector::PushedOperator op;
       op.kind = connector::PushedOperator::Kind::kPartialAggregation;
       op.group_keys = storage_keys;
@@ -518,186 +632,73 @@ Result<std::shared_ptr<Table>> ExecuteJoinChain(const PlanNodePtr& root,
     return Status::Internal("join build schema mismatch");
   }
 
-  std::unique_ptr<exec::HashAggregator> partial_agg;  // engine-side partial
-  // Merge-stage input: probed partial rows (two-phase), the engine-side
-  // partial result, or the joined rows when there is no aggregation.
-  std::shared_ptr<Table> collected;
-  // Per user group key: gather from the partial batch (fact keys) or
-  // from the matched dim row (dim-referenced keys).
-  struct KeySource {
-    bool from_partial = false;
-    int index = -1;
-  };
-  std::vector<KeySource> key_sources;
-  SchemaPtr aug_schema;  // user group keys + storage partial columns
-  SchemaPtr joined_schema = post_stream.empty()
-                                ? join->output_schema
-                                : post_stream.back()->output_schema;
-  SchemaPtr partial_schema_ptr;  // storage_keys then partial agg columns
-  if (two_phase) {
-    // When storage rejects the offer the engine runs the IDENTICAL
-    // per-split partial phase itself (same decomposition, same row
-    // order), so accepted and rejected plans evaluate the same
-    // floating-point operation tree and agree bit-for-bit.
-    partial_schema_ptr =
-        storage_agg ? spec.output_schema
-                    : PartialOutputSchema(*spec.output_schema, storage_keys,
-                                          agg_node->aggregates);
-    const columnar::Schema& partial_schema = *partial_schema_ptr;
-    std::vector<columnar::Field> aug_fields;
-    for (int k : agg_node->group_keys) {
-      aug_fields.push_back(combined.field(k));
-      if (k < n_fact) {
-        KeySource src{true, -1};
-        for (size_t i = 0; i < storage_keys.size(); ++i) {
-          if (storage_keys[i] == k) src.index = static_cast<int>(i);
-        }
-        key_sources.push_back(src);
-      } else {
-        key_sources.push_back({false, k - n_fact});
-      }
-    }
-    for (size_t j = storage_keys.size(); j < partial_schema.num_fields(); ++j) {
-      aug_fields.push_back(partial_schema.field(j));
-    }
-    aug_schema = columnar::MakeSchema(std::move(aug_fields));
-    collected = std::make_shared<Table>(aug_schema);
-  } else if (agg_node) {
-    partial_agg = std::make_unique<exec::HashAggregator>(
-        joined_schema, agg_node->group_keys,
-        PartialAggSpecs(agg_node->aggregates));
-  } else {
-    collected = std::make_shared<Table>(joined_schema);
+  // Per split: the engine-side fact filters, then — two-phase with the
+  // offer rejected — the per-split partial phase storage would have run.
+  // That is the IDENTICAL decomposition and row order, so accepted and
+  // rejected plans evaluate the same floating-point operation tree and
+  // agree bit-for-bit.
+  POCS_ASSIGN_OR_RETURN(std::unique_ptr<Rel> fact_rel,
+                        LowerChain(ScanOutputSchema(*scan), fact_stream));
+  if (two_phase && !storage_agg) {
+    fact_rel = PartialAggregate(*agg_node, storage_keys, std::move(fact_rel));
   }
 
-  uint64_t probe_rows_in = 0;
-  uint64_t probe_rows_out = 0;
-  Stopwatch probe_timer_total;
-  // Probe one batch of partial rows (keyed by storage_keys) against the
-  // exact dim index — dropping bloom false positives — augment with the
-  // dim-referenced group keys, and collect them for the final merge.
-  auto merge_partials = [&](const columnar::RecordBatch& batch) -> Status {
-    probe_rows_in += batch.num_rows();
-    const columnar::Column& key_col = *batch.column(probe_pos);
-    columnar::SelectionVector sel;
-    columnar::SelectionVector dim_sel;
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      int64_t key;
-      if (!JoinKeyAt(key_col, r, &key)) continue;
-      auto it = dim_index.find(key);
-      if (it == dim_index.end()) continue;
-      sel.push_back(static_cast<uint32_t>(r));
-      dim_sel.push_back(it->second.front());  // keys are unique
-    }
-    if (sel.empty()) return Status::OK();
-    std::vector<columnar::ColumnPtr> cols;
-    for (const KeySource& src : key_sources) {
-      cols.push_back(src.from_partial
-                         ? columnar::Take(*batch.column(src.index), sel)
-                         : columnar::Take(*dim_batch->column(src.index),
-                                          dim_sel));
-    }
-    for (size_t j = storage_keys.size(); j < batch.num_columns(); ++j) {
-      cols.push_back(columnar::Take(*batch.column(j), sel));
-    }
-    collected->AppendBatch(columnar::MakeBatch(aug_schema, std::move(cols)));
-    metrics->partial_agg_merges += sel.size();
-    probe_rows_out += sel.size();
-    return Status::OK();
-  };
-  for (const connector::Split& split : fact_plan.splits) {
-    POCS_ASSIGN_OR_RETURN(
-        std::unique_ptr<connector::PageSource> source,
-        conn.CreatePageSource(scan->table, split, spec));
-    // Rejected offer: the engine computes the same per-split partial
-    // phase storage would have run, from the raw fact rows.
-    std::unique_ptr<exec::HashAggregator> split_agg;
-    if (two_phase && !storage_agg) {
-      split_agg = std::make_unique<exec::HashAggregator>(
-          spec.output_schema, storage_keys,
-          PartialAggSpecs(agg_node->aggregates));
-    }
-    while (true) {
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, source->Next());
-      if (!batch) break;
-      Stopwatch batch_timer;
-      if (storage_agg) {
-        // Batch rows are storage partials keyed by storage_keys.
-        POCS_RETURN_NOT_OK(merge_partials(*batch));
-      } else if (split_agg) {
-        POCS_RETURN_NOT_OK(split_agg->Consume(*batch));
-      } else {
-        // Raw fact rows: residual filters, probe, gather, post-join work.
-        for (PlanNode* node : fact_stream) {
-          POCS_ASSIGN_OR_RETURN(
-              batch, substrait::FilterBatch(node->predicate, *batch));
-          if (batch->num_rows() == 0) break;
-        }
-        if (batch->num_rows() == 0) {
-          residual += batch_timer.ElapsedSeconds();
-          continue;
-        }
-        probe_rows_in += batch->num_rows();
-        const columnar::Column& probe_col = *batch->column(join->probe_key);
-        columnar::SelectionVector sel;
-        columnar::SelectionVector dim_sel;
-        for (size_t r = 0; r < batch->num_rows(); ++r) {
-          int64_t key;
-          if (!JoinKeyAt(probe_col, r, &key)) continue;
-          auto it = dim_index.find(key);
-          if (it == dim_index.end()) continue;
-          for (uint32_t dim_row : it->second) {
-            sel.push_back(static_cast<uint32_t>(r));
-            dim_sel.push_back(dim_row);
-          }
-        }
-        if (!sel.empty()) {
-          RecordBatchPtr fact_part = columnar::TakeBatch(*batch, sel);
-          std::vector<columnar::ColumnPtr> cols(fact_part->columns());
-          for (size_t j = 0; j < n_dim; ++j) {
-            cols.push_back(columnar::Take(*dim_batch->column(j), dim_sel));
-          }
-          RecordBatchPtr joined =
-              columnar::MakeBatch(join->output_schema, std::move(cols));
-          for (PlanNode* node : post_stream) {
-            if (node->kind == NodeKind::kFilter) {
-              POCS_ASSIGN_OR_RETURN(
-                  joined, substrait::FilterBatch(node->predicate, *joined));
-            } else {
-              POCS_ASSIGN_OR_RETURN(joined, ApplyProjectNode(*node, *joined));
-            }
-            if (joined->num_rows() == 0) break;
-          }
-          if (joined->num_rows() > 0) {
-            probe_rows_out += joined->num_rows();
-            if (partial_agg) {
-              POCS_RETURN_NOT_OK(partial_agg->Consume(*joined));
-            } else {
-              collected->AppendBatch(joined);
-            }
-          }
-        }
+  JoinProbe probe;
+  probe.index = &dim_index;
+  probe.build = dim_batch;
+  if (two_phase) {
+    POCS_ASSIGN_OR_RETURN(SchemaPtr partial_schema,
+                          substrait::OutputSchema(*fact_rel));
+    probe.key = probe_pos;
+    // The user's group keys — from the partial row (fact keys) or from
+    // the matched dim row — then the partial aggregate columns.
+    std::vector<columnar::Field> fields;
+    for (int k : agg_node->group_keys) {
+      fields.push_back(combined.field(k));
+      if (k >= n_fact) {
+        probe.columns.push_back({false, k - n_fact});
+        continue;
       }
-      residual += batch_timer.ElapsedSeconds();
+      const auto pos = std::find(storage_keys.begin(), storage_keys.end(), k);
+      probe.columns.push_back(
+          {true, static_cast<int>(pos - storage_keys.begin())});
     }
-    if (split_agg) {
-      Stopwatch finish_timer;
-      POCS_ASSIGN_OR_RETURN(RecordBatchPtr partials, split_agg->Finish());
-      POCS_RETURN_NOT_OK(merge_partials(*partials));
-      residual += finish_timer.ElapsedSeconds();
+    for (size_t j = storage_keys.size(); j < partial_schema->num_fields();
+         ++j) {
+      fields.push_back(partial_schema->field(j));
+      probe.columns.push_back({true, static_cast<int>(j)});
     }
-    FoldSourceStats(source->stats(), metrics, &totals);
+    probe.schema = columnar::MakeSchema(std::move(fields));
+  } else {
+    probe.key = join->probe_key;
+    for (int j = 0; j < n_fact; ++j) probe.columns.push_back({true, j});
+    for (size_t j = 0; j < n_dim; ++j) {
+      probe.columns.push_back({false, static_cast<int>(j)});
+    }
+    probe.schema = join->output_schema;
   }
+  // Above the probe: the post-join filters and projections, then the
+  // query-wide partial phase of the aggregation. Two-phase there are none
+  // of either, and the probed partial rows reach the merge stage as they
+  // are.
+  POCS_ASSIGN_OR_RETURN(std::unique_ptr<Rel> joined_rel,
+                        LowerChain(probe.schema, post_stream));
+  if (agg_node && !two_phase) {
+    joined_rel = PartialAggregate(*agg_node, agg_node->group_keys,
+                                  std::move(joined_rel));
+  }
+
+  Stopwatch probe_timer_total;
+  ProbedSource probed(conn, *scan, fact_plan.splits, *fact_rel, &probe,
+                      metrics, &totals, &residual);
+  exec::ExecStats joined_stats;
+  POCS_ASSIGN_OR_RETURN(std::shared_ptr<Table> collected,
+                        exec::ExecuteRel(*joined_rel, probed, &joined_stats));
+  residual += OperatorSeconds(joined_stats);
+  if (two_phase) metrics->partial_agg_merges += collected->num_rows();
   metrics->operator_timings.push_back({"join.probe",
                                        probe_timer_total.ElapsedSeconds(),
-                                       probe_rows_in, probe_rows_out});
-  if (partial_agg) {
-    Stopwatch finish_timer;
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr partials, partial_agg->Finish());
-    collected = std::make_shared<Table>(partials->schema());
-    collected->AppendBatch(std::move(partials));
-    residual += finish_timer.ElapsedSeconds();
-  }
+                                       probe.rows_in, probe.rows_out});
 
   // ---- simulated scan-stage time (both sides' splits) -----------------------
   metrics->pushdown_and_transfer = SplitStageSeconds(totals, config.time_model);
@@ -855,7 +856,8 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql,
   POCS_ASSIGN_OR_RETURN(std::unique_ptr<Rel> split_rel,
                         LowerChain(ScanOutputSchema(*scan), stream_nodes));
   if (agg_node && agg_node->agg_step == AggregationStep::kSingle) {
-    split_rel = PartialAggregate(*agg_node, std::move(split_rel));
+    split_rel = PartialAggregate(*agg_node, agg_node->group_keys,
+                                 std::move(split_rel));
   }
   POCS_ASSIGN_OR_RETURN(SchemaPtr split_schema,
                         substrait::OutputSchema(*split_rel));

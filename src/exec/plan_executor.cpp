@@ -164,84 +164,75 @@ Result<columnar::RecordBatchPtr> BloomFilterSource::Next() {
   return columnar::TakeBatch(*sb.batch, *sb.selection);
 }
 
-Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
-                                          BatchSource& source,
-                                          ExecStats* stats) {
-  Stopwatch plan_timer;
-  ExecStats local;
+namespace {
 
-  std::vector<const Rel*> chain;
-  POCS_RETURN_NOT_OK(FlattenChain(root, &chain));
-
-  // Identify the streamable prefix above the read: filters and projects.
-  // The first blocking operator (aggregate/sort/fetch) splits the chain.
-  size_t blocking = 1;
-  while (blocking < chain.size() &&
-         (chain[blocking]->kind == RelKind::kFilter ||
-          chain[blocking]->kind == RelKind::kProject)) {
-    ++blocking;
+// Runs one streaming segment of the chain, starting at chain[begin]: the
+// Filter/Project rels up to the first blocking rel apply per batch of
+// `source`, and that blocking rel is the segment's sink — a hash
+// aggregate, a Sort + Fetch(offset 0) fused into bounded top-N, a Sort,
+// or a Fetch. Without one the segment collects its rows. Returns the
+// sink's output and sets *next to the first rel of the following segment
+// (chain.size() when none is left). Only the caller's own source counts
+// as scanned (`scan`).
+Result<std::shared_ptr<Table>> RunSegment(const std::vector<const Rel*>& chain,
+                                          size_t begin, BatchSource& source,
+                                          bool scan, ExecStats* local,
+                                          size_t* next) {
+  size_t sink_at = begin;
+  while (sink_at < chain.size() &&
+         (chain[sink_at]->kind == RelKind::kFilter ||
+          chain[sink_at]->kind == RelKind::kProject)) {
+    ++sink_at;
   }
+  const Rel* sink = sink_at < chain.size() ? chain[sink_at] : nullptr;
+  const bool fused_top_n = sink != nullptr && sink->kind == RelKind::kSort &&
+                     sink_at + 1 < chain.size() &&
+                     chain[sink_at + 1]->kind == RelKind::kFetch &&
+                     chain[sink_at + 1]->offset == 0 &&
+                     chain[sink_at + 1]->count >= 0;
+  *next = sink == nullptr ? sink_at : sink_at + (fused_top_n ? 2 : 1);
 
-  // Precompute output schemas for projects in the streaming prefix.
-  std::vector<columnar::SchemaPtr> prefix_schemas(chain.size());
-  for (size_t i = 1; i < blocking; ++i) {
+  // Output schemas of the prefix's projects; `schema` is what reaches the
+  // sink.
+  std::vector<columnar::SchemaPtr> prefix_schemas(sink_at);
+  columnar::SchemaPtr schema = source.schema();
+  for (size_t i = begin; i < sink_at; ++i) {
+    if (chain[i]->kind != RelKind::kProject) continue;
     POCS_ASSIGN_OR_RETURN(prefix_schemas[i],
                           substrait::OutputSchema(*chain[i]));
+    schema = prefix_schemas[i];
   }
 
-  // If the first blocking op is an aggregate or a sort+fetch pair we can
-  // stream into an accumulator. Otherwise we materialize.
+  // Streaming sinks: the hash aggregate and the fused top-N. Sort and
+  // Fetch need every row, so they run over the collected rows.
   std::unique_ptr<HashAggregator> aggregator;
   std::unique_ptr<TopNAccumulator> topn;
-  size_t consumed_blocking = 0;  // how many blocking rels the streaming
-                                 // accumulators absorb
-
-  if (blocking < chain.size() && chain[blocking]->kind == RelKind::kAggregate) {
-    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr agg_input,
-                          substrait::OutputSchema(
-                              blocking > 1 ? *chain[blocking - 1] : *chain[0]));
-    aggregator = std::make_unique<HashAggregator>(
-        agg_input, chain[blocking]->group_keys, chain[blocking]->aggregates);
-    consumed_blocking = 1;
-  } else if (blocking + 1 < chain.size() &&
-             chain[blocking]->kind == RelKind::kSort &&
-             chain[blocking + 1]->kind == RelKind::kFetch &&
-             chain[blocking + 1]->offset == 0 &&
-             chain[blocking + 1]->count >= 0) {
-    POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr sort_input,
-                          substrait::OutputSchema(
-                              blocking > 1 ? *chain[blocking - 1] : *chain[0]));
+  if (sink != nullptr && sink->kind == RelKind::kAggregate) {
+    aggregator = std::make_unique<HashAggregator>(schema, sink->group_keys,
+                                                  sink->aggregates);
+  } else if (fused_top_n) {
     topn = std::make_unique<TopNAccumulator>(
-        sort_input, chain[blocking]->sort_fields,
-        static_cast<size_t>(chain[blocking + 1]->count));
-    consumed_blocking = 2;
+        schema, sink->sort_fields,
+        static_cast<size_t>(chain[sink_at + 1]->count));
   }
-  // The streaming accumulator's rows are attributed to the rel it absorbs
-  // (Aggregate, or Sort for the fused top-N).
-  const RelKind accumulator_kind =
-      aggregator ? RelKind::kAggregate : RelKind::kSort;
+  auto collected = std::make_shared<Table>(schema);
 
-  auto intermediate = std::make_shared<Table>(
-      prefix_schemas.empty() || blocking == 1 ? source.schema()
-                                              : prefix_schemas[blocking - 1]);
-
-  // ---- streaming phase ---------------------------------------------------
   // Batches flow with an optional selection (SelectedBatch): chained
   // filters intersect selections instead of compacting rows, and the
   // one materialization (TakeBatch) happens only at the first operator
   // that needs real values at every row — a Project, the top-N
-  // accumulator, or the intermediate table. Hash aggregation consumes
-  // the selection directly.
+  // accumulator, or the collected table. Hash aggregation consumes the
+  // selection directly.
   while (true) {
     POCS_ASSIGN_OR_RETURN(SelectedBatch sb, source.NextSelected());
     RecordBatchPtr batch = std::move(sb.batch);
     if (!batch) break;
-    local.rows_scanned += batch->num_rows();
-    ++local.batches_scanned;
+    if (scan) {
+      local->rows_scanned += batch->num_rows();
+      ++local->batches_scanned;
+    }
     std::optional<columnar::SelectionVector> sel = std::move(sb.selection);
-    auto live_rows = [&] {
-      return sel ? sel->size() : (batch ? batch->num_rows() : 0);
-    };
+    auto live_rows = [&] { return sel ? sel->size() : batch->num_rows(); };
     auto materialize = [&] {
       if (sel) {
         batch = columnar::TakeBatch(*batch, *sel);
@@ -249,9 +240,9 @@ Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
       }
     };
     bool exhausted = live_rows() == 0;
-    for (size_t i = 1; i < blocking && !exhausted; ++i) {
+    for (size_t i = begin; i < sink_at && !exhausted; ++i) {
       const Rel& rel = *chain[i];
-      OperatorCounters& oc = local.ForKind(rel.kind);
+      OperatorCounters& oc = local->ForKind(rel.kind);
       Stopwatch op_timer;
       oc.rows_in += live_rows();
       if (rel.kind == RelKind::kFilter) {
@@ -272,7 +263,7 @@ Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
     }
     if (exhausted) continue;
     if (aggregator || topn) {
-      OperatorCounters& oc = local.ForKind(accumulator_kind);
+      OperatorCounters& oc = local->ForKind(sink->kind);
       Stopwatch op_timer;
       oc.rows_in += live_rows();
       if (aggregator) {
@@ -285,85 +276,60 @@ Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
       ++oc.invocations;
     } else {
       materialize();
-      intermediate->AppendBatch(std::move(batch));
+      collected->AppendBatch(std::move(batch));
     }
   }
+  if (sink == nullptr) return collected;
 
-  std::shared_ptr<Table> current;
-  if (aggregator || topn) {
-    OperatorCounters& oc = local.ForKind(accumulator_kind);
-    Stopwatch op_timer;
+  // The sink's result; the fused top-N is attributed to its Sort.
+  OperatorCounters& oc = local->ForKind(sink->kind);
+  Stopwatch op_timer;
+  std::shared_ptr<Table> out;
+  if (sink->kind == RelKind::kFetch) {
+    oc.rows_in += collected->num_rows();
+    ++oc.invocations;
+    POCS_ASSIGN_OR_RETURN(out,
+                          FetchTable(*collected, sink->offset, sink->count));
+  } else {
     RecordBatchPtr result;
     if (aggregator) {
       POCS_ASSIGN_OR_RETURN(result, aggregator->Finish());
-    } else {
+    } else if (topn) {
       POCS_ASSIGN_OR_RETURN(result, topn->Finish());
+    } else {
+      oc.rows_in += collected->num_rows();
+      ++oc.invocations;
+      POCS_ASSIGN_OR_RETURN(result, SortTable(*collected, sink->sort_fields));
     }
-    oc.rows_out += result->num_rows();
-    oc.seconds += op_timer.ElapsedSeconds();
-    current = std::make_shared<Table>(result->schema());
-    current->AppendBatch(std::move(result));
-  } else {
-    current = intermediate;
+    out = std::make_shared<Table>(result->schema());
+    out->AppendBatch(std::move(result));
   }
+  oc.rows_out += out->num_rows();
+  oc.seconds += op_timer.ElapsedSeconds();
+  return out;
+}
 
-  // ---- materialized phase: remaining blocking operators ------------------
-  for (size_t i = blocking + consumed_blocking; i < chain.size(); ++i) {
-    const Rel& rel = *chain[i];
-    OperatorCounters& oc = local.ForKind(rel.kind);
-    Stopwatch op_timer;
-    oc.rows_in += current->num_rows();
-    switch (rel.kind) {
-      case RelKind::kFilter: {
-        auto next = std::make_shared<Table>(current->schema());
-        for (const RecordBatchPtr& b : current->batches()) {
-          POCS_ASSIGN_OR_RETURN(RecordBatchPtr filtered,
-                                substrait::FilterBatch(rel.predicate, *b));
-          if (filtered->num_rows() > 0) next->AppendBatch(std::move(filtered));
-        }
-        current = next;
-        break;
-      }
-      case RelKind::kProject: {
-        POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr out_schema,
-                              substrait::OutputSchema(rel));
-        auto next = std::make_shared<Table>(out_schema);
-        for (const RecordBatchPtr& b : current->batches()) {
-          POCS_ASSIGN_OR_RETURN(RecordBatchPtr projected,
-                                ApplyProject(rel, *b, out_schema));
-          next->AppendBatch(std::move(projected));
-        }
-        current = next;
-        break;
-      }
-      case RelKind::kAggregate: {
-        HashAggregator agg(current->schema(), rel.group_keys, rel.aggregates);
-        for (const RecordBatchPtr& b : current->batches()) {
-          POCS_RETURN_NOT_OK(agg.Consume(*b));
-        }
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr result, agg.Finish());
-        current = std::make_shared<Table>(result->schema());
-        current->AppendBatch(std::move(result));
-        break;
-      }
-      case RelKind::kSort: {
-        POCS_ASSIGN_OR_RETURN(RecordBatchPtr sorted,
-                              SortTable(*current, rel.sort_fields));
-        current = std::make_shared<Table>(sorted->schema());
-        current->AppendBatch(std::move(sorted));
-        break;
-      }
-      case RelKind::kFetch: {
-        POCS_ASSIGN_OR_RETURN(current,
-                              FetchTable(*current, rel.offset, rel.count));
-        break;
-      }
-      case RelKind::kRead:
-        return Status::Internal("read rel above the leaf");
-    }
-    oc.rows_out += current->num_rows();
-    oc.seconds += op_timer.ElapsedSeconds();
-    ++oc.invocations;
+}  // namespace
+
+Result<std::shared_ptr<Table>> ExecuteRel(const Rel& root,
+                                          BatchSource& source,
+                                          ExecStats* stats) {
+  Stopwatch plan_timer;
+  ExecStats local;
+
+  std::vector<const Rel*> chain;
+  POCS_RETURN_NOT_OK(FlattenChain(root, &chain));
+
+  // The first segment pulls from the caller's source; each later one
+  // streams the previous segment's output through the same operators.
+  size_t next = 1;
+  POCS_ASSIGN_OR_RETURN(
+      std::shared_ptr<Table> current,
+      RunSegment(chain, next, source, /*scan=*/true, &local, &next));
+  while (next < chain.size()) {
+    TableSource rest(std::move(current));
+    POCS_ASSIGN_OR_RETURN(
+        current, RunSegment(chain, next, rest, /*scan=*/false, &local, &next));
   }
   local.rows_output = current->num_rows();
 

@@ -4,11 +4,15 @@
 // engine-side fallback re-runs the same plans through it, and the query
 // engine lowers its residual nodes (per-split filters/projections and
 // partial aggregation, the join build side, the merge stage) to rel
-// chains and runs them here too (DESIGN.md §2).
+// chains and runs them here too, the join's fact side and probed rows
+// included (DESIGN.md §2).
 //
-// Streaming where possible: Filter and Project are applied per batch;
-// Aggregate, Sort, and Fetch materialize. A Fetch directly above a Sort
-// fuses into bounded top-N (the paper's ORDER BY + LIMIT operator).
+// Each rel kind has one implementation. The chain runs as streaming
+// segments: a Filter/Project prefix applied per batch, closed by at most
+// one sink — a hash aggregate, a Sort + Fetch fused into bounded top-N
+// (the paper's ORDER BY + LIMIT operator), a Sort, or a Fetch. A rel above
+// a sink starts the next segment, which streams the sink's output through
+// the same operators.
 #pragma once
 
 #include <array>

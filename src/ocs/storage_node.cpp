@@ -26,17 +26,20 @@ using substrait::Rel;
 using substrait::RelKind;
 using substrait::ScalarFunc;
 
-void CollectPruningTerms(const Expression& expr,
+bool CollectPruningTerms(const Expression& expr,
                          const columnar::Schema& scan_schema,
                          std::vector<objectstore::SelectPredicate>* out) {
-  if (expr.kind != ExprKind::kCall) return;
+  if (expr.kind != ExprKind::kCall) return false;
   if (expr.func == ScalarFunc::kAnd) {
+    bool all = true;
     for (const Expression& arg : expr.args) {
-      CollectPruningTerms(arg, scan_schema, out);
+      all = CollectPruningTerms(arg, scan_schema, out) && all;
     }
-    return;
+    return all;
   }
-  if (!substrait::IsComparison(expr.func) || expr.args.size() != 2) return;
+  if (!substrait::IsComparison(expr.func) || expr.args.size() != 2) {
+    return false;
+  }
   const Expression* field = nullptr;
   const Expression* literal = nullptr;
   bool flipped = false;
@@ -50,11 +53,11 @@ void CollectPruningTerms(const Expression& expr,
     literal = &expr.args[0];
     flipped = true;
   } else {
-    return;
+    return false;
   }
   if (field->field_index < 0 ||
       static_cast<size_t>(field->field_index) >= scan_schema.num_fields()) {
-    return;
+    return false;
   }
   columnar::CompareOp op;
   switch (expr.func) {
@@ -64,7 +67,7 @@ void CollectPruningTerms(const Expression& expr,
     case ScalarFunc::kLe: op = columnar::CompareOp::kLe; break;
     case ScalarFunc::kGt: op = columnar::CompareOp::kGt; break;
     case ScalarFunc::kGe: op = columnar::CompareOp::kGe; break;
-    default: return;
+    default: return false;
   }
   if (flipped) {
     // literal <op> field  ≡  field <flipped-op> literal
@@ -78,6 +81,7 @@ void CollectPruningTerms(const Expression& expr,
   }
   out->push_back({scan_schema.field(field->field_index).name, op,
                   literal->literal});
+  return true;
 }
 
 namespace {

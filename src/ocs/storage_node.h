@@ -161,12 +161,13 @@ class StorageNode {
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out);
 Result<OcsResult> DecodeOcsResult(BufferReader* in);
 
-// Collect conjunctive `field <cmp> literal` terms from a predicate, for
-// statistics-based pruning against `scan_schema`. Non-decomposable
-// sub-expressions are ignored (pruning stays conservative). Shared with
-// the coordinator-side split pruner so plan-time and storage-time
-// pruning evaluate the exact same terms (DESIGN.md §13).
-void CollectPruningTerms(const substrait::Expression& expr,
+// Collect conjunctive `field <cmp> literal` terms from a predicate against
+// `scan_schema`. Returns true when every conjunct became a term. Pruning
+// ignores the rest (it stays conservative) and is shared with the
+// coordinator-side split pruner, so plan-time and storage-time pruning
+// evaluate the exact same terms (DESIGN.md §13). The Hive connector's
+// Select API takes a filter only when the result is true.
+bool CollectPruningTerms(const substrait::Expression& expr,
                          const columnar::Schema& scan_schema,
                          std::vector<objectstore::SelectPredicate>* out);
 

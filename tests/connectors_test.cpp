@@ -1,8 +1,9 @@
-// Tests for the connectors: the Hive connector's Select-API predicate
-// decomposition and capability limits, the Presto-OCS connector's
-// Selectivity Analyzer (distribution assumptions, NDV-based aggregation
-// estimates, threshold behaviour), the ScanSpec→Substrait translator, and
-// the pushdown history monitor.
+// Tests for the connectors: the Select-API predicate decomposition the
+// Hive connector shares with storage pruning (ocs::CollectPruningTerms)
+// and its capability limits, the Presto-OCS connector's Selectivity
+// Analyzer (distribution assumptions, NDV-based aggregation estimates,
+// threshold behaviour), the ScanSpec→Substrait translator, and the
+// pushdown history monitor.
 #include <gtest/gtest.h>
 
 #include "connectors/hive/hive_connector.h"
@@ -12,6 +13,7 @@
 #include "connectors/ocs/sql_reconstruction.h"
 #include "connectors/ocs/translator.h"
 #include "engine/two_phase.h"
+#include "ocs/storage_node.h"
 #include "sql/parser.h"
 #include "workloads/laghos.h"
 
@@ -46,7 +48,7 @@ TEST(HiveDecomposeTest, ConjunctiveComparisonsAccepted) {
        Cmp(ScalarFunc::kLe, 1, TypeKind::kFloat64, Datum::Float64(3.2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  ASSERT_TRUE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  ASSERT_TRUE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
   ASSERT_EQ(terms.size(), 2u);
   EXPECT_EQ(terms[0].column, "x");
   EXPECT_EQ(terms[0].op, columnar::CompareOp::kGe);
@@ -61,7 +63,7 @@ TEST(HiveDecomposeTest, FlippedLiteralSideNormalized) {
        Expression::FieldRef(0, TypeKind::kFloat64)},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  ASSERT_TRUE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  ASSERT_TRUE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
   EXPECT_EQ(terms[0].op, columnar::CompareOp::kGt);
 }
 
@@ -72,7 +74,7 @@ TEST(HiveDecomposeTest, DisjunctionRejected) {
        Cmp(ScalarFunc::kLt, 1, TypeKind::kFloat64, Datum::Float64(2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  EXPECT_FALSE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  EXPECT_FALSE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
 }
 
 TEST(HiveDecomposeTest, ArithmeticOperandRejected) {
@@ -86,7 +88,7 @@ TEST(HiveDecomposeTest, ArithmeticOperandRejected) {
        Expression::Literal(Datum::Float64(2))},
       TypeKind::kBool);
   std::vector<objectstore::SelectPredicate> terms;
-  EXPECT_FALSE(DecomposeSelectPredicate(pred, *XySchema(), &terms));
+  EXPECT_FALSE(ocs::CollectPruningTerms(pred, *XySchema(), &terms));
 }
 
 // ---- selectivity analyzer ---------------------------------------------------

@@ -541,6 +541,60 @@ std::unique_ptr<Rel> FilterFetch() {
   return fetch;
 }
 
+// Filter → Aggregate: the sink whose single output batch the chains
+// below stream through later segments.
+std::unique_ptr<Rel> FilterAggregate() {
+  auto agg = Stack(RelKind::kAggregate, FilteredTieRead());
+  agg->group_keys = {0};
+  agg->aggregates = {
+      {AggFunc::kSum, Expression::FieldRef(1, TypeKind::kFloat64), "s"},
+      {AggFunc::kCountStar, {}, "n"}};
+  return agg;
+}
+
+// Aggregate → Filter → Project → Sort → Fetch(offset 1): a filter and a
+// project above the first blocking op, then a Sort + Fetch the offset
+// keeps from fusing into top-N.
+std::unique_ptr<Rel> AggregateFilterProjectSortFetch() {
+  auto filter = Stack(RelKind::kFilter, FilterAggregate());
+  filter->predicate = Expression::Call(
+      ScalarFunc::kNe,
+      {Expression::FieldRef(0, TypeKind::kString),
+       Expression::Literal(Datum::String("c"))},
+      TypeKind::kBool);
+  auto project = Stack(RelKind::kProject, std::move(filter));
+  project->expressions = {
+      Expression::FieldRef(0, TypeKind::kString),
+      Expression::Call(ScalarFunc::kMultiply,
+                       {Expression::FieldRef(1, TypeKind::kFloat64),
+                        Expression::Literal(Datum::Float64(0.3))},
+                       TypeKind::kFloat64),
+      Expression::FieldRef(2, TypeKind::kInt64)};
+  project->output_names = {"k", "s3", "n"};
+  auto sort = Stack(RelKind::kSort, std::move(project));
+  sort->sort_fields = {{1, false, true}};
+  auto fetch = Stack(RelKind::kFetch, std::move(sort));
+  fetch->offset = 1;
+  fetch->count = 2;
+  return fetch;
+}
+
+// Aggregate → Sort: a full sort of the aggregate's output.
+std::unique_ptr<Rel> AggregateSort() {
+  auto sort = Stack(RelKind::kSort, FilterAggregate());
+  sort->sort_fields = {{2, true, true}, {0, false, true}};
+  return sort;
+}
+
+// Aggregate → Sort → Fetch: a top-N in the segment after the aggregate.
+std::unique_ptr<Rel> AggregateSortFetch() {
+  auto sort = Stack(RelKind::kSort, FilterAggregate());
+  sort->sort_fields = {{1, true, true}};
+  auto fetch = Stack(RelKind::kFetch, std::move(sort));
+  fetch->count = 3;
+  return fetch;
+}
+
 struct OracleCase {
   const char* name;
   std::unique_ptr<Rel> (*build)();
@@ -576,16 +630,27 @@ TEST_P(ExecuteRelOracle, MatchesMaterializingComposition) {
           << w->column(c)->GetDatum(r).ToString();
     }
   }
-  // The first filter sees every batch; batch 0 leaves it empty.
-  const OperatorCounters& filter = stats.ForKind(RelKind::kFilter);
+  // Only the caller's source counts as scanned, not the later segments'
+  // inputs.
   EXPECT_EQ(stats.batches_scanned, 6u);
-  size_t n_filters = 0;
+  EXPECT_EQ(stats.rows_scanned, input->num_rows());
+  // Below the first blocking op, the first filter sees every batch and
+  // batch 0 leaves it empty; each later filter skips the emptied batch
+  // and runs on the other five under its predecessor's selection. A
+  // filter above it runs once, on the sink's single output batch.
+  size_t below = 0;
+  size_t above = 0;
   for (const Rel* r = root.get(); r != nullptr; r = r->input.get()) {
-    if (r->kind == RelKind::kFilter) ++n_filters;
+    if (r->kind == RelKind::kAggregate || r->kind == RelKind::kSort ||
+        r->kind == RelKind::kFetch) {
+      above += below;
+      below = 0;
+    } else if (r->kind == RelKind::kFilter) {
+      ++below;
+    }
   }
-  // Each later filter skips the emptied batch and runs on the other five
-  // under the selection its predecessor produced.
-  EXPECT_EQ(filter.invocations, 6u + (n_filters - 1) * 5u);
+  EXPECT_EQ(stats.ForKind(RelKind::kFilter).invocations,
+            6u + (below - 1) * 5u + above);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -594,7 +659,11 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"FilterFilterProjectAggregate",
                    &FilterFilterProjectAggregate},
         OracleCase{"FilterSortFetch", &FilterSortFetch},
-        OracleCase{"FilterFetch", &FilterFetch}),
+        OracleCase{"FilterFetch", &FilterFetch},
+        OracleCase{"AggregateFilterProjectSortFetch",
+                   &AggregateFilterProjectSortFetch},
+        OracleCase{"AggregateSort", &AggregateSort},
+        OracleCase{"AggregateSortFetch", &AggregateSortFetch}),
     [](const ::testing::TestParamInfo<OracleCase>& info) {
       return std::string(info.param.name);
     });

@@ -14,11 +14,16 @@
 //     storage (no false pruning against rewritten data),
 //   * a dead in-storage executor degrades to the engine-side fallback
 //     with identical rows,
+//   * join shapes off the two-phase path (engine-side fact filter,
+//     post-join filter, no aggregation, duplicate build keys, computed
+//     arguments) agree bit-for-bit on every catalog,
 //   * the whole pipeline is a pure function of config + seed (replay).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bloom.h"
@@ -57,6 +62,34 @@ std::string Canonicalize(const columnar::RecordBatch& batch) {
     out += "\n";
   }
   return out;
+}
+
+// Same rows in the same order, every double equal bit for bit.
+void ExpectBitIdentical(const columnar::RecordBatch& got,
+                        const columnar::RecordBatch& want,
+                        const std::string& label) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << label;
+  ASSERT_EQ(got.num_columns(), want.num_columns()) << label;
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const columnar::Column& g = *got.column(c);
+    const columnar::Column& w = *want.column(c);
+    ASSERT_EQ(g.type(), w.type()) << label << " col " << c;
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r))
+          << label << " col " << c << " row " << r;
+      if (w.IsNull(r)) continue;
+      if (w.type() == TypeKind::kFloat64) {
+        const double gv = g.GetFloat64(r);
+        const double wv = w.GetFloat64(r);
+        EXPECT_EQ(std::memcmp(&gv, &wv, sizeof(double)), 0)
+            << label << " col " << c << " row " << r << ": " << gv << " vs "
+            << wv;
+      } else {
+        EXPECT_TRUE(g.GetDatum(r) == w.GetDatum(r))
+            << label << " col " << c << " row " << r;
+      }
+    }
+  }
 }
 
 workloads::TpchConfig SmallLineitem() {
@@ -311,6 +344,75 @@ TEST(JoinPushdownTest, DeterministicReplay) {
   EXPECT_EQ(ra->metrics.bloom_rows_pruned, rb->metrics.bloom_rows_pruned);
   EXPECT_EQ(ra->metrics.partial_agg_merges, rb->metrics.partial_agg_merges);
   EXPECT_EQ(ra->optimized_plan, rb->optimized_plan);
+}
+
+// Joins off the TpchJoinQuery shape, each run on all four catalogs and
+// compared bit-for-bit in result order: the raw-row probe (duplicate
+// build keys, a computed aggregate argument, a post-join filter, no
+// aggregation) and an engine-side fact filter, which must still take the
+// same per-split partial phase as the catalogs that push the filter.
+TEST(JoinPushdownTest, JoinShapesAgreeBitForBitAcrossCatalogs) {
+  JoinBedFixture fx;
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"fact_filter",
+       "SELECT s_nationkey, SUM(extendedprice) AS revenue, COUNT(*) AS lines "
+       "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+       "WHERE quantity > 10.0 GROUP BY s_nationkey ORDER BY s_nationkey"},
+      {"post_join_filter",
+       "SELECT s_nationkey, SUM(extendedprice) AS revenue, COUNT(*) AS lines "
+       "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+       "WHERE extendedprice > s_acctbal GROUP BY s_nationkey "
+       "ORDER BY s_nationkey"},
+      {"no_aggregate",
+       "SELECT orderkey, linenumber, extendedprice, s_acctbal "
+       "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+       "ORDER BY orderkey, linenumber LIMIT 20"},
+      {"duplicate_build_keys",
+       "SELECT s_nationkey, SUM(extendedprice) AS revenue, COUNT(*) AS lines "
+       "FROM supplier JOIN lineitem ON s_suppkey = suppkey "
+       "GROUP BY s_nationkey ORDER BY s_nationkey"},
+      {"computed_argument",
+       "SELECT s_nationkey, SUM(extendedprice * discount) AS disc "
+       "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+       "GROUP BY s_nationkey ORDER BY s_nationkey"},
+  };
+  for (const auto& [name, sql] : queries) {
+    auto reference = fx.bed->Run(sql, "hive_raw");
+    ASSERT_TRUE(reference.ok()) << name << ": " << reference.status();
+    const columnar::RecordBatch& want = *reference->table;
+    ASSERT_GT(want.num_rows(), 0u) << name;
+    for (const std::string catalog : {"hive", "ocs", "ocs_engine"}) {
+      auto result = fx.bed->Run(sql, catalog);
+      ASSERT_TRUE(result.ok()) << name << " on " << catalog << ": "
+                               << result.status();
+      ExpectBitIdentical(*result->table, want, name + " on " + catalog);
+    }
+  }
+}
+
+// A fact filter that stays engine-side still gets the per-split partial
+// phase, but storage is not offered it: storage would aggregate the rows
+// the engine-side filter drops. Filter pushdown off, aggregation pushdown
+// on, and the answer matches hive_raw's bit-for-bit.
+TEST(JoinPushdownTest, EngineSideFactFilterKeepsPartialPhaseOutOfStorage) {
+  JoinBedFixture fx;
+  connectors::OcsConnectorConfig no_filter = fx.bed->config().ocs_connector;
+  no_filter.pushdown_filter = false;
+  fx.bed->RegisterOcsCatalog("ocs_no_filter", no_filter);
+  const std::string sql =
+      "SELECT s_nationkey, SUM(extendedprice) AS revenue, COUNT(*) AS lines "
+      "FROM lineitem JOIN supplier ON suppkey = s_suppkey "
+      "WHERE quantity > 10.0 GROUP BY s_nationkey ORDER BY s_nationkey";
+
+  auto reference = fx.bed->Run(sql, "hive_raw");
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto result = fx.bed->Run(sql, "ocs_no_filter");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->metrics.partial_agg_accepted, 0u);
+  EXPECT_EQ(result->metrics.partial_agg_rejected, 0u);
+  EXPECT_GT(result->metrics.partial_agg_merges, 0u);
+  EXPECT_GE(result->metrics.bloom_pushed, 1u);
+  ExpectBitIdentical(*result->table, *reference->table, "ocs_no_filter");
 }
 
 }  // namespace

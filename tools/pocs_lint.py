@@ -47,7 +47,8 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
   row-loop-in-hot-path
                      A per-row typed accessor (Get{Bool,Int32,Int64,
                      Float64,String}) called inside a for/while body in a
-                     hot-path TU (src/exec/*.cpp, src/ocs/*.cpp). Row
+                     hot-path TU (src/exec/*.cpp, src/ocs/*.cpp,
+                     src/engine/*.cpp). Row
                      loops over virtual per-element getters are exactly
                      what the vectorized kernels (columnar/kernels.h,
                      DESIGN.md §15) replace: batch operators should go
@@ -507,11 +508,12 @@ def check_planning_data_rpc(stripped, rel_path, report):
                    "source")
 
 
-# TUs on the batch-execution hot path: the engine's operators and the
-# storage node's embedded engine. Headers are exempt (inline helpers like
-# Column::GetInt64 itself live there), as are tests/benches (naive
-# reference loops are the point there).
-HOT_PATH_FILE_RE = re.compile(r"^src/(?:exec|ocs)/[^/]+\.(?:cpp|cc)$")
+# TUs on the batch-execution hot path: the operators, the storage node's
+# embedded engine, and the query engine (join build and probe). Headers
+# are exempt (inline helpers like Column::GetInt64 itself live there), as
+# are tests/benches (naive reference loops are the point there).
+HOT_PATH_FILE_RE = re.compile(
+    r"^src/(?:exec|ocs|engine)/[^/]+\.(?:cpp|cc)$")
 ROW_GET_RE = re.compile(
     r"(?:\.|->)\s*(Get(?:Bool|Int32|Int64|Float64|String))\s*\(")
 

@@ -374,8 +374,9 @@ class PlanningDataRpcTest(LintRunner):
 
 
 class RowLoopInHotPathTest(LintRunner):
-    """row-loop-in-hot-path: per-row Get*() loops in src/exec/ and
-    src/ocs/ TUs must use the vectorized kernels instead."""
+    """row-loop-in-hot-path: per-row Get*() loops in src/exec/,
+    src/ocs/ and src/engine/ TUs must use the vectorized kernels
+    instead."""
 
     def test_get_in_for_body_in_exec_fires(self):
         self.write("src/exec/op.cpp",
@@ -398,6 +399,18 @@ class RowLoopInHotPathTest(LintRunner):
                    "}\n")
         self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
                             "node.cpp")
+
+    def test_get_in_loop_in_engine_fires(self):
+        # A join probe reading keys row by row instead of from the typed
+        # value span.
+        self.write("src/engine/join.cpp",
+                   "void f(const Column& keys) {\n"
+                   "  for (size_t r = 0; r < keys.length(); ++r) {\n"
+                   "    Probe(keys.GetInt64(r));\n"
+                   "  }\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-loop-in-hot-path",
+                            "join.cpp")
 
     def test_single_statement_loop_body_fires(self):
         self.write("src/exec/op.cpp",
