@@ -382,6 +382,26 @@ int main(int argc, char** argv) {
     report.AddExact(
         "dict.pushed.rows_late_materialized",
         static_cast<double>(pushed.metrics.rows_late_materialized), "rows");
+
+    // The same scan through S3 Select: the Select path runs the storage
+    // scan source too, so its string conjunct also runs on the dictionary
+    // codes (counted in the storage-local `select.*` registry, which the
+    // `*.rows_dict_filtered` gate covers).
+    engine::QueryResult selected;
+    if (!RunAndRecord(testbed, dict_sql, "hive", "dict.select", &report,
+                      &selected)) {
+      return 1;
+    }
+    const uint32_t select_fp = ResultFingerprint(*selected.table);
+    report.AddExact("dict.select.result_fingerprint",
+                    static_cast<double>(select_fp));
+    if (select_fp != ref_fp) {
+      std::fprintf(stderr,
+                   "bench_report: Select dict-filtered answer diverged from "
+                   "the engine-side plan (%u vs %u)\n",
+                   select_fp, ref_fp);
+      return 1;
+    }
   }
 
   // --- Fig. 5(a): Laghos progressive pushdown (incl. topN) ---------------
@@ -655,7 +675,9 @@ int main(int argc, char** argv) {
   // --- Process-wide registry rollup --------------------------------------
   // Counters are order-independent sums over fixed-seed workloads →
   // exact. Histograms carry wall time → only their populations are
-  // exact; means are reported as timings.
+  // exact; means are reported as timings, 0 for an empty histogram, so a
+  // change that stops an operator kind from running shows up in the exact
+  // `.count` instead of dropping the mean from the report.
   for (const metrics::MetricSample& s :
        metrics::Registry::Default().Snapshot()) {
     switch (s.kind) {
@@ -666,9 +688,8 @@ int main(int argc, char** argv) {
         break;  // gauges are instantaneous, not comparable across runs
       case metrics::MetricKind::kHistogram:
         report.AddExact("process." + s.name + ".count", s.value);
-        if (s.value > 0) {
-          report.AddTiming("process." + s.name + ".mean_seconds", s.mean);
-        }
+        report.AddTiming("process." + s.name + ".mean_seconds",
+                         s.value > 0 ? s.mean : 0.0);
         break;
     }
   }

@@ -15,7 +15,7 @@
 
 #include "common/buffer.h"
 #include "common/lru_cache.h"
-#include "ocs/storage_node.h"
+#include "exec/scan_source.h"
 
 namespace {
 
@@ -110,8 +110,8 @@ void BM_LruCacheMixedThreaded(benchmark::State& state) {
 BENCHMARK(BM_LruCacheMixedThreaded)->Threads(1)->Threads(4)->Threads(8);
 
 void BM_RowGroupCacheKeyHash(benchmark::State& state) {
-  pocs::ocs::RowGroupCacheKey key{"bucket/laghos/part-00000.plite", 3, 17, 2};
-  pocs::ocs::RowGroupCacheKeyHash hasher;
+  pocs::exec::RowGroupCacheKey key{"bucket/laghos/part-00000.plite", 3, 17, 2};
+  pocs::exec::RowGroupCacheKeyHash hasher;
   for (auto _ : state) {
     uint64_t h = hasher(key);
     benchmark::DoNotOptimize(h);

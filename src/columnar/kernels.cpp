@@ -1,8 +1,11 @@
 #include "columnar/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string_view>
+#include <utility>
 
 #include "common/hash.h"
 
@@ -208,6 +211,44 @@ size_t BetweenTyped(const V* vals, const uint8_t* valid, size_t n, T lo, T hi,
   return BetweenDense<T>(vals, valid, static_cast<uint32_t>(n), lo, hi, out);
 }
 
+// `v <op> literal` over integer values v, as one integer comparison with
+// the same answer for every int64. A float literal becomes the integer
+// bound that keeps the comparison exact (`v < 1500.5` is `v <= 1500`,
+// where AsInt64 would truncate it to `v < 1500`); one no int64 can reach
+// selects all or no non-null rows, and NaN matches only under kNe, as it
+// does on a float column.
+std::pair<CompareOp, int64_t> IntegerComparison(CompareOp op,
+                                                const Datum& literal) {
+  if (literal.type() != TypeKind::kFloat64) return {op, literal.AsInt64()};
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const std::pair<CompareOp, int64_t> all{CompareOp::kGe, kMin};
+  const std::pair<CompareOp, int64_t> none{CompareOp::kLt, kMin};
+  const double x = literal.float64_value();
+  constexpr double kTwo63 = 9223372036854775808.0;
+  const bool nan = std::isnan(x);
+  const double f = nan ? 0.0 : std::floor(x);
+  if (!nan && f == x && x >= -kTwo63 && x < kTwo63) {
+    return {op, static_cast<int64_t>(x)};
+  }
+  // No int64 equals x: above it (x beyond 2^63), below it (x below
+  // -2^63), or on either side (fractional x: floor(x) < x < floor(x) + 1).
+  const bool above = !nan && x >= kTwo63;
+  const bool below = !nan && x < -kTwo63;
+  switch (op) {
+    case CompareOp::kEq: return none;
+    case CompareOp::kNe: return all;
+    case CompareOp::kLt:
+    case CompareOp::kLe:
+      if (nan || below) return none;
+      return above ? all : std::pair{CompareOp::kLe, static_cast<int64_t>(f)};
+    case CompareOp::kGt:
+    case CompareOp::kGe:
+      if (nan || above) return none;
+      return below ? all : std::pair{CompareOp::kGt, static_cast<int64_t>(f)};
+  }
+  return none;
+}
+
 }  // namespace
 
 SelectionVector CompareScalar(const Column& col, CompareOp op,
@@ -224,14 +265,18 @@ SelectionVector CompareScalar(const Column& col, CompareOp op,
                             literal.bool_value() ? 1 : 0, input, out.data());
       break;
     case TypeKind::kInt32:
-    case TypeKind::kDate32:
+    case TypeKind::kDate32: {
+      const auto [iop, lit] = IntegerComparison(op, literal);
       k = CompareTyped<int64_t>(col.i32_data().data(), valid, col.length(),
-                                op, literal.AsInt64(), input, out.data());
+                                iop, lit, input, out.data());
       break;
-    case TypeKind::kInt64:
+    }
+    case TypeKind::kInt64: {
+      const auto [iop, lit] = IntegerComparison(op, literal);
       k = CompareTyped<int64_t>(col.i64_data().data(), valid, col.length(),
-                                op, literal.AsInt64(), input, out.data());
+                                iop, lit, input, out.data());
       break;
+    }
     case TypeKind::kFloat64:
       k = CompareTyped<double>(col.f64_data().data(), valid, col.length(), op,
                                literal.AsDouble(), input, out.data());
@@ -251,6 +296,16 @@ SelectionVector Between(const Column& col, const Datum& lo, const Datum& hi,
                         const SelectionVector* input) {
   SelectionVector out;
   if (lo.is_null() || hi.is_null()) return out;  // NULL bound matches nothing
+  const bool integer_col = col.type() == TypeKind::kInt32 ||
+                           col.type() == TypeKind::kInt64 ||
+                           col.type() == TypeKind::kDate32;
+  if (integer_col && (lo.type() == TypeKind::kFloat64 ||
+                      hi.type() == TypeKind::kFloat64)) {
+    // Float bounds on an integer column: CompareScalar rounds each bound
+    // exactly. Rare, so the two passes the fused loop avoids are fine.
+    const SelectionVector above = CompareScalar(col, CompareOp::kGe, lo, input);
+    return CompareScalar(col, CompareOp::kLe, hi, &above);
+  }
   out.resize(input ? input->size() : col.length());
   const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
   size_t k = 0;

@@ -39,12 +39,14 @@ std::string_view CompareOpName(CompareOp op);
 using SelectionVector = std::vector<uint32_t>;
 
 // Rows of `col` (restricted to `input` if non-null) where
-// `col[i] <op> literal` holds. Null values never match.
+// `col[i] <op> literal` holds. Null values never match. An integer column
+// compares exactly with a float literal (`v < 1500.5` keeps 1500).
 SelectionVector CompareScalar(const Column& col, CompareOp op,
                               const Datum& literal,
                               const SelectionVector* input = nullptr);
 
-// Rows where lo <= col[i] <= hi (BETWEEN). Fused single pass: both
+// Rows where lo <= col[i] <= hi (BETWEEN); float bounds on an integer
+// column compare exactly, as in CompareScalar. Fused single pass: both
 // bounds are tested in one traversal, no intermediate selection.
 SelectionVector Between(const Column& col, const Datum& lo, const Datum& hi,
                         const SelectionVector* input = nullptr);

@@ -92,8 +92,12 @@ int Datum::Compare(const Datum& other) const {
                ? -1
                : (string_value() == other.string_value() ? 0 : 1);
   }
-  // Numeric cross-type comparison via double is exact enough here because
-  // all integer domains in this repo fit in 53 bits.
+  // Numeric comparison goes through double. That is exact only for
+  // integers within ±2^53: int64 values beyond it merge with their
+  // neighbours, and NaN compares equal to everything. Statistics pruning
+  // uses its own exact order (format::ChunkMayMatch); one total value
+  // order is the open ROADMAP item "One value order, sound statistics,
+  // one predicate compiler".
   double a = AsDouble();
   double b = other.AsDouble();
   if (a < b) return -1;

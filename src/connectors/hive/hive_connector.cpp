@@ -2,8 +2,8 @@
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
+#include "exec/scan_source.h"
 #include "format/parquet_lite.h"
-#include "ocs/storage_node.h"
 
 namespace pocs::connectors {
 
@@ -72,8 +72,8 @@ Result<bool> HiveConnector::OfferPushdown(
     decision->reason = "one Select filter per scan";
     return RecordHivePushdownDecision(false);
   }
-  std::vector<objectstore::SelectPredicate> terms;
-  if (!ocs::CollectPruningTerms(op.predicate, *spec->output_schema, &terms)) {
+  std::vector<format::SelectPredicate> terms;
+  if (!exec::CollectPruningTerms(op.predicate, *spec->output_schema, &terms)) {
     decision->accepted = false;
     decision->reason = "predicate not expressible in the Select API";
     return RecordHivePushdownDecision(false);
@@ -120,100 +120,46 @@ class SelectPageSource final : public connector::PageSource {
   PageSourceStats stats_;
 };
 
-// Page source for the Select→GET degradation path: whole object
-// downloaded, the accepted filter re-applied compute-side per row group
-// so the rows still honour the pushdown contract, then the result
-// projection.
-class SelectFallbackPageSource final : public connector::PageSource {
+// Page source for the paths that decode the whole object compute-side:
+// raw GET (no terms) and the Select→GET degradation path, whose scan
+// re-applies the accepted filter's terms — with the storage scan's
+// pruning and dictionary filter — so the rows still honour the pushdown
+// contract.
+class ScanPageSource final : public connector::PageSource {
  public:
-  SelectFallbackPageSource(std::shared_ptr<format::FileReader> reader,
-                           std::vector<int> scan_columns,
-                           SchemaPtr scan_schema,
-                           std::vector<objectstore::SelectPredicate> predicates,
-                           std::vector<int> result_columns, SchemaPtr schema,
-                           PageSourceStats stats)
-      : reader_(std::move(reader)),
-        scan_columns_(std::move(scan_columns)),
-        scan_schema_(std::move(scan_schema)),
-        predicates_(std::move(predicates)),
-        result_columns_(std::move(result_columns)),
-        schema_(std::move(schema)),
-        stats_(stats) {}
+  ScanPageSource(std::unique_ptr<exec::ScanSource> scan, PageSourceStats stats)
+      : scan_(std::move(scan)), stats_(stats) {}
 
-  SchemaPtr schema() const override { return schema_; }
+  SchemaPtr schema() const override { return scan_->schema(); }
 
   Result<RecordBatchPtr> Next() override {
-    if (group_ >= reader_->num_row_groups()) return RecordBatchPtr{};
     Stopwatch decode;
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                          reader_->ReadRowGroup(group_++, scan_columns_));
-    stats_.rows_scanned += batch->num_rows();
-    columnar::SelectionVector sel;
-    const columnar::SelectionVector* input = nullptr;
-    for (const objectstore::SelectPredicate& pred : predicates_) {
-      int idx = scan_schema_->FieldIndex(pred.column);
-      if (idx < 0) {
-        return Status::Internal("hive fallback: unknown filter column '" +
-                                pred.column + "'");
-      }
-      sel = columnar::CompareScalar(*batch->column(idx), pred.op,
-                                    pred.literal, input);
-      input = &sel;
-    }
-    if (input != nullptr) batch = columnar::TakeBatch(*batch, sel);
-    if (!result_columns_.empty()) batch = batch->Project(result_columns_);
+    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, scan_->Next());
     stats_.decode_seconds += decode.ElapsedSeconds();
-    stats_.rows_received += batch->num_rows();
+    static_cast<ScanCounters&>(stats_) = scan_->counters();
+    // Every decoded row was "scanned" — at the compute node, which is
+    // exactly the baseline's problem.
+    stats_.rows_scanned = scan_->rows_read();
+    if (batch) stats_.rows_received += batch->num_rows();
     return batch;
   }
   const PageSourceStats& stats() const override { return stats_; }
 
  private:
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> scan_columns_;
-  SchemaPtr scan_schema_;
-  std::vector<objectstore::SelectPredicate> predicates_;
-  std::vector<int> result_columns_;
-  SchemaPtr schema_;
+  std::unique_ptr<exec::ScanSource> scan_;
   PageSourceStats stats_;
-  size_t group_ = 0;
 };
 
-// Page source for the raw-GET path: whole object downloaded, decoded per
-// row group at the compute node.
-class RawGetPageSource final : public connector::PageSource {
- public:
-  RawGetPageSource(std::shared_ptr<format::FileReader> reader,
-                   std::vector<int> columns, SchemaPtr schema,
-                   PageSourceStats stats)
-      : reader_(std::move(reader)),
-        columns_(std::move(columns)),
-        schema_(std::move(schema)),
-        stats_(stats) {}
-
-  SchemaPtr schema() const override { return schema_; }
-
-  Result<RecordBatchPtr> Next() override {
-    if (group_ >= reader_->num_row_groups()) return RecordBatchPtr{};
-    Stopwatch decode;
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch,
-                          reader_->ReadRowGroup(group_++, columns_));
-    stats_.decode_seconds += decode.ElapsedSeconds();
-    stats_.rows_received += batch->num_rows();
-    // Raw GET ships everything; every decoded row was "scanned" — at the
-    // compute node, which is exactly the baseline's problem.
-    stats_.rows_scanned += batch->num_rows();
-    return batch;
-  }
-  const PageSourceStats& stats() const override { return stats_; }
-
- private:
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> columns_;
-  SchemaPtr schema_;
-  PageSourceStats stats_;
-  size_t group_ = 0;
-};
+Result<std::unique_ptr<connector::PageSource>> MakeScanPageSource(
+    Bytes object, exec::ScanOptions options, PageSourceStats stats) {
+  POCS_ASSIGN_OR_RETURN(auto reader,
+                        format::FileReader::Open(std::move(object)));
+  return std::unique_ptr<connector::PageSource>(
+      std::make_unique<ScanPageSource>(
+          std::make_unique<exec::ScanSource>(std::move(reader),
+                                             std::move(options)),
+          stats));
+}
 
 }  // namespace
 
@@ -243,7 +189,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       table_indices.push_back(columns.empty() ? c : columns[c]);
     }
     projected = columnar::MakeSchema(std::move(fields));
-    columns = std::move(table_indices);  // raw-GET decodes only these
+    columns = std::move(table_indices);  // compute-side scans decode these
   }
 
   // Strict mode: a float64 anywhere in the projection forces raw GET.
@@ -281,11 +227,9 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       // The GET reads the whole object off the storage node's media.
       stats.media_read_seconds =
           static_cast<double>(object.size()) / config_.media_read_bandwidth;
-      POCS_ASSIGN_OR_RETURN(auto reader,
-                            format::FileReader::Open(std::move(object)));
-      return std::unique_ptr<connector::PageSource>(
-          std::make_unique<RawGetPageSource>(std::move(reader), columns,
-                                             projected, stats));
+      exec::ScanOptions options;
+      options.columns = columns;
+      return MakeScanPageSource(std::move(object), std::move(options), stats);
     }
   }
 
@@ -302,7 +246,7 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     }
     // Predicate field refs are relative to the scan schema (they may name
     // columns dropped from the result projection).
-    if (!ocs::CollectPruningTerms(op.predicate, *scan_schema,
+    if (!exec::CollectPruningTerms(op.predicate, *scan_schema,
                                   &request.predicates)) {
       return Status::Internal("hive: accepted filter not expressible");
     }
@@ -327,8 +271,8 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
     if (!config_.fallback_to_raw_get || !rpc::IsRetryable(select_or.status())) {
       return select_or.status();
     }
-    // Degrade to a raw GET of the whole object; the accepted filter is
-    // re-applied compute-side by the page source so rows stay correct.
+    // Degrade to a raw GET of the whole object; the accepted filter's
+    // terms are re-applied compute-side by the scan so rows stay correct.
     objectstore::TransferInfo get_info;
     POCS_ASSIGN_OR_RETURN(
         Bytes object,
@@ -346,12 +290,10 @@ Result<std::unique_ptr<connector::PageSource>> HiveConnector::CreatePageSource(
       static auto& fallbacks = reg.GetCounter("connector.hive.fallbacks");
       fallbacks.Increment();
     }
-    POCS_ASSIGN_OR_RETURN(auto reader,
-                          format::FileReader::Open(std::move(object)));
-    return std::unique_ptr<connector::PageSource>(
-        std::make_unique<SelectFallbackPageSource>(
-            std::move(reader), spec.columns, scan_schema, request.predicates,
-            spec.result_columns, projected, stats));
+    exec::ScanOptions options;
+    options.columns = columns;
+    options.terms = std::move(request.predicates);
+    return MakeScanPageSource(std::move(object), std::move(options), stats);
   }
   objectstore::SelectResponse response = std::move(*select_or);
   // The synchronous in-process Select call's wall time is storage-side

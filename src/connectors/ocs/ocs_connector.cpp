@@ -10,7 +10,7 @@
 #include "common/stopwatch.h"
 #include "connectors/ocs/sql_reconstruction.h"
 #include "connectors/ocs/translator.h"
-#include "exec/plan_executor.h"
+#include "exec/scan_source.h"
 #include "format/parquet_lite.h"
 #include "objectstore/service.h"
 #include "substrait/serialize.h"
@@ -96,7 +96,7 @@ bool RecordPushdownDecision(bool accepted) {
 // ChunkMayMatch primitive as storage-side pruning, so a hint can never
 // drop a group the storage scan would have kept.
 bool DescriptorMayMatch(const objectstore::ObjectDescriptor& desc,
-                        const std::vector<objectstore::SelectPredicate>& terms,
+                        const std::vector<format::SelectPredicate>& terms,
                         Split* split) {
   auto col_index = [&desc](const std::string& name) -> int {
     for (size_t i = 0; i < desc.columns.size(); ++i) {
@@ -110,7 +110,7 @@ bool DescriptorMayMatch(const objectstore::ObjectDescriptor& desc,
     if (idx < 0 || static_cast<size_t>(idx) >= desc.column_stats.size()) {
       continue;
     }
-    if (!objectstore::ChunkMayMatch(desc.column_stats[idx], term)) {
+    if (!format::ChunkMayMatch(desc.column_stats[idx], term)) {
       return false;
     }
   }
@@ -124,8 +124,8 @@ bool DescriptorMayMatch(const objectstore::ObjectDescriptor& desc,
           static_cast<size_t>(idx) >= desc.row_groups[g].column_stats.size()) {
         continue;
       }
-      if (!objectstore::ChunkMayMatch(desc.row_groups[g].column_stats[idx],
-                                      term)) {
+      if (!format::ChunkMayMatch(desc.row_groups[g].column_stats[idx],
+                                 term)) {
         may_match = false;
         break;
       }
@@ -154,12 +154,12 @@ Result<connector::SplitPlan> OcsConnector::GetSplits(const TableHandle& table,
   // decomposed into `field <cmp> literal` conjuncts against the projected
   // scan schema. Exactly the terms the storage node's own pruning
   // evaluates, so plan-time and storage-time decisions agree.
-  std::vector<objectstore::SelectPredicate> terms;
+  std::vector<format::SelectPredicate> terms;
   if (metadata_cache_ && !spec.operators.empty() &&
       spec.operators.front().kind == PushedOperator::Kind::kFilter) {
     SchemaPtr scan_schema = ProjectedSchema(table, spec);
-    ocs::CollectPruningTerms(spec.operators.front().predicate, *scan_schema,
-                             &terms);
+    exec::CollectPruningTerms(spec.operators.front().predicate, *scan_schema,
+                              &terms);
   }
 
   // A pushed join-key bloom must be pinned to the object version it will
@@ -471,12 +471,6 @@ Result<std::unique_ptr<connector::PageSource>> MakePageSource(
       std::make_unique<OcsPageSource>(schema, std::move(decoded), stats));
 }
 
-}  // namespace
-
-// BatchSource over a compute-side copy of the object (fallback path): no
-// row-group pruning — the whole object already crossed the network.
-namespace {
-
 // True when the plan's Read leaf carries a join-key bloom filter — the
 // fallback must then learn the object version to honour the pin.
 bool PlanHasBloom(const substrait::Plan& plan) {
@@ -487,27 +481,6 @@ bool PlanHasBloom(const substrait::Plan& plan) {
   }
   return false;
 }
-
-class LocalObjectSource final : public exec::BatchSource {
- public:
-  LocalObjectSource(std::shared_ptr<format::FileReader> reader,
-                    std::vector<int> columns, SchemaPtr schema)
-      : reader_(std::move(reader)),
-        columns_(std::move(columns)),
-        schema_(std::move(schema)) {}
-
-  SchemaPtr schema() const override { return schema_; }
-  Result<RecordBatchPtr> Next() override {
-    if (group_ >= reader_->num_row_groups()) return RecordBatchPtr{};
-    return reader_->ReadRowGroup(group_++, columns_);
-  }
-
- private:
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> columns_;
-  SchemaPtr schema_;
-  size_t group_ = 0;
-};
 
 }  // namespace
 
@@ -607,34 +580,19 @@ Result<std::shared_ptr<columnar::Table>> OcsConnector::ExecuteFallback(
   stats->media_read_seconds +=
       static_cast<double>(fetched_bytes) / config_.dispatch.media_read_bandwidth;
 
+  // The same scan the storage node would have run, over the bytes in
+  // hand: statistics pruning always, the hint and the bloom only under a
+  // known, matching version (an unknown version is 0 and drops both).
   Stopwatch exec_timer;
-  POCS_ASSIGN_OR_RETURN(auto reader_owned,
+  POCS_ASSIGN_OR_RETURN(auto reader,
                         format::FileReader::Open(std::move(object)));
-  std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
-  stats->row_groups_total += reader->num_row_groups();
-
-  const substrait::Rel* read = plan.root.get();
-  while (read->input) read = read->input.get();
-  if (read->kind != substrait::RelKind::kRead ||
-      !reader->schema()->Equals(*read->base_schema)) {
-    return Status::InvalidArgument("ocs fallback: plan schema != object");
-  }
-  POCS_ASSIGN_OR_RETURN(SchemaPtr scan_schema, substrait::OutputSchema(*read));
-  std::unique_ptr<exec::BatchSource> source =
-      std::make_unique<LocalObjectSource>(reader, read->read_columns,
-                                          std::move(scan_schema));
-  // Honour the pushed join-key bloom under the same version-pin rule as
-  // the storage node: applied only when the pin matches the bytes this
-  // fallback just fetched, skipped wholesale otherwise.
-  if (!read->bloom_words.empty() && read->bloom_version != 0 &&
-      read->bloom_version == *object_version) {
-    source = std::make_unique<exec::BloomFilterSource>(
-        std::move(source), read->bloom_words, read->bloom_hashes,
-        read->bloom_seed, read->bloom_column, &stats->bloom_rows_pruned);
-  }
+  POCS_ASSIGN_OR_RETURN(
+      std::unique_ptr<exec::ScanSource> source,
+      exec::OpenPlanScan(plan, std::move(reader), *object_version, nullptr));
   exec::ExecStats exec_stats;
   POCS_ASSIGN_OR_RETURN(auto table,
                         exec::ExecuteRel(*plan.root, *source, &exec_stats));
+  *stats += source->counters();
   stats->rows_scanned += exec_stats.rows_scanned;
   // Fallback execution is compute-side work, like decode.
   stats->decode_seconds += exec_timer.ElapsedSeconds();

@@ -98,74 +98,6 @@ void MirrorToRegistry(const ExecStats& stats, double plan_seconds) {
 
 namespace {
 
-// Typed bloom-probe loop: the type dispatch is hoisted out of the row
-// loop and keys come from the raw value span (no per-row accessors).
-template <typename V>
-void BloomProbeLoop(const V* vals, const uint8_t* valid, size_t n,
-                    const BloomFilter& bloom,
-                    columnar::SelectionVector* sel) {
-  for (size_t i = 0; i < n; ++i) {
-    if (valid != nullptr && valid[i] == 0) continue;
-    const uint64_t key = static_cast<uint64_t>(static_cast<int64_t>(vals[i]));
-    if (bloom.MayContain(key)) sel->push_back(static_cast<uint32_t>(i));
-  }
-}
-
-}  // namespace
-
-columnar::SelectionVector BloomSelectRows(const columnar::Column& col,
-                                          const BloomFilter& bloom) {
-  columnar::SelectionVector sel;
-  sel.reserve(col.length());
-  const size_t n = col.length();
-  const uint8_t* valid = col.has_nulls() ? col.validity().data() : nullptr;
-  switch (col.type()) {
-    case columnar::TypeKind::kInt64:
-      BloomProbeLoop(col.i64_data().data(), valid, n, bloom, &sel);
-      break;
-    case columnar::TypeKind::kInt32:
-    case columnar::TypeKind::kDate32:
-      BloomProbeLoop(col.i32_data().data(), valid, n, bloom, &sel);
-      break;
-    default:
-      // Non-integer key: keep every non-null row (bloom reduction is
-      // advisory; dropping nothing is the safe direction).
-      for (size_t i = 0; i < n; ++i) {
-        if (valid != nullptr && valid[i] == 0) continue;
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-      break;
-  }
-  return sel;
-}
-
-Result<SelectedBatch> BloomFilterSource::NextSelected() {
-  while (true) {
-    POCS_ASSIGN_OR_RETURN(columnar::RecordBatchPtr batch, inner_->Next());
-    if (!batch) return SelectedBatch{nullptr, std::nullopt};
-    if (bloom_column_ < 0 ||
-        static_cast<size_t>(bloom_column_) >= batch->num_columns()) {
-      return SelectedBatch{std::move(batch), std::nullopt};
-    }
-    columnar::SelectionVector sel =
-        BloomSelectRows(*batch->column(bloom_column_), bloom_);
-    if (sel.size() == batch->num_rows()) {
-      return SelectedBatch{std::move(batch), std::nullopt};
-    }
-    if (rows_pruned_) *rows_pruned_ += batch->num_rows() - sel.size();
-    if (sel.empty()) continue;  // whole batch pruned; pull the next one
-    return SelectedBatch{std::move(batch), std::move(sel)};
-  }
-}
-
-Result<columnar::RecordBatchPtr> BloomFilterSource::Next() {
-  POCS_ASSIGN_OR_RETURN(SelectedBatch sb, NextSelected());
-  if (!sb.batch || !sb.selection) return std::move(sb.batch);
-  return columnar::TakeBatch(*sb.batch, *sb.selection);
-}
-
-namespace {
-
 // Runs one streaming segment of the chain, starting at chain[begin]: the
 // Filter/Project rels up to the first blocking rel apply per batch of
 // `source`, and that blocking rel is the segment's sink — a hash

@@ -5,10 +5,12 @@
 // ratios.
 #pragma once
 
+#include <string>
 #include <unordered_set>
 
 #include "columnar/column.h"
 #include "columnar/ipc.h"
+#include "columnar/kernels.h"
 #include "columnar/types.h"
 #include "common/buffer.h"
 
@@ -49,5 +51,19 @@ class StatsCollector {
   ColumnStats stats_;
   std::unordered_set<uint64_t> distinct_;  // value hashes
 };
+
+// One conjunct `column <op> literal` of a scan's pushed filter, naming a
+// column of the file schema. The Select API's predicates, the storage
+// scan's pruning terms and the planner's row-group hints all use it.
+struct SelectPredicate {
+  std::string column;
+  columnar::CompareOp op;
+  columnar::Datum literal;
+};
+
+// True if chunk statistics cannot rule out rows matching `pred`: the one
+// pruning check of every scan path and of the planner (DESIGN.md §13).
+// Integers compare exactly, and a NaN bound never prunes.
+bool ChunkMayMatch(const ColumnStats& stats, const SelectPredicate& pred);
 
 }  // namespace pocs::format

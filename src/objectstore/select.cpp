@@ -7,36 +7,15 @@
 #include <sstream>
 
 #include "common/metrics.h"
+#include "common/query_counters.h"
+#include "exec/scan_source.h"
 
 namespace pocs::objectstore {
 
 using columnar::Column;
-using columnar::CompareOp;
-using columnar::Datum;
+using columnar::RecordBatch;
 using columnar::RecordBatchPtr;
-using columnar::SelectionVector;
 using columnar::TypeKind;
-
-bool ChunkMayMatch(const format::ColumnStats& stats,
-                   const SelectPredicate& pred) {
-  // No stats or all-null chunk: only a match if op could match... a null
-  // never matches a comparison, so an all-null chunk can be skipped.
-  if (stats.min.is_null() || stats.max.is_null()) return false;
-  const Datum& lit = pred.literal;
-  if (lit.is_null()) return false;
-  switch (pred.op) {
-    case CompareOp::kEq:
-      return stats.min.Compare(lit) <= 0 && stats.max.Compare(lit) >= 0;
-    case CompareOp::kNe:
-      // Only prunable when min == max == literal.
-      return !(stats.min.Compare(lit) == 0 && stats.max.Compare(lit) == 0);
-    case CompareOp::kLt: return stats.min.Compare(lit) < 0;
-    case CompareOp::kLe: return stats.min.Compare(lit) <= 0;
-    case CompareOp::kGt: return stats.max.Compare(lit) > 0;
-    case CompareOp::kGe: return stats.max.Compare(lit) >= 0;
-  }
-  return true;
-}
 
 namespace {
 
@@ -119,106 +98,70 @@ Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
   POCS_ASSIGN_OR_RETURN(ObjectData object,
                         store.Get(request.bucket, request.key));
   POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object));
-  const auto& schema = reader->schema();
+  const columnar::Schema& schema = *reader->schema();
 
-  // Resolve projected columns (empty = all).
-  std::vector<int> proj;
-  if (request.columns.empty()) {
-    for (size_t c = 0; c < schema->num_fields(); ++c) {
-      proj.push_back(static_cast<int>(c));
-    }
-  } else {
-    for (const std::string& name : request.columns) {
-      int idx = schema->FieldIndex(name);
-      if (idx < 0) return Status::InvalidArgument("no column " + name);
-      proj.push_back(idx);
-    }
+  // Projected columns (empty = all) and predicate columns must exist.
+  exec::ScanOptions options;
+  for (const std::string& name : request.columns) {
+    int idx = schema.FieldIndex(name);
+    if (idx < 0) return Status::InvalidArgument("no column " + name);
+    options.columns.push_back(idx);
   }
-  // Resolve predicate columns.
-  std::vector<int> pred_cols;
   for (const SelectPredicate& pred : request.predicates) {
-    int idx = schema->FieldIndex(pred.column);
-    if (idx < 0) return Status::InvalidArgument("no column " + pred.column);
-    pred_cols.push_back(idx);
-  }
-  // Columns that must be decoded: projection ∪ predicates.
-  std::vector<int> read_cols = proj;
-  for (int c : pred_cols) {
-    if (std::find(read_cols.begin(), read_cols.end(), c) == read_cols.end()) {
-      read_cols.push_back(c);
+    if (schema.FieldIndex(pred.column) < 0) {
+      return Status::InvalidArgument("no column " + pred.column);
     }
   }
+  options.terms = request.predicates;
+  exec::ScanSource source(std::move(reader), std::move(options));
 
   SelectResponse response;
-  response.stats.groups_total = reader->num_row_groups();
-
-  // Header line.
-  for (size_t i = 0; i < proj.size(); ++i) {
+  const columnar::Schema& out = *source.schema();
+  for (size_t i = 0; i < out.num_fields(); ++i) {
     if (i) response.csv += ',';
-    response.csv += schema->field(proj[i]).name;
+    response.csv += out.field(i).name;
   }
   response.csv += '\n';
 
-  for (size_t g = 0; g < reader->num_row_groups(); ++g) {
-    // Statistics-based pruning before any decoding.
-    bool may_match = true;
-    for (size_t p = 0; p < request.predicates.size(); ++p) {
-      const auto& stats = reader->meta().row_groups[g].chunks[pred_cols[p]].stats;
-      if (!ChunkMayMatch(stats, request.predicates[p])) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) {
-      ++response.stats.groups_skipped;
-      continue;
-    }
-    response.stats.object_bytes_read += reader->ChunkBytes(g, read_cols);
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, reader->ReadRowGroup(g, read_cols));
-    response.stats.rows_scanned += batch->num_rows();
-
-    // Conjunctive predicate evaluation via chained selection vectors.
-    SelectionVector sel;
-    bool have_sel = false;
-    for (const SelectPredicate& pred : request.predicates) {
-      auto col = batch->ColumnByName(pred.column);
-      sel = CompareScalar(*col, pred.op, pred.literal,
-                          have_sel ? &sel : nullptr);
-      have_sel = true;
-      if (sel.empty()) break;
-    }
-    if (!have_sel) {
-      sel.resize(batch->num_rows());
-      for (uint32_t i = 0; i < sel.size(); ++i) sel[i] = i;
-    }
-    response.stats.rows_returned += sel.size();
-
-    // Emit projected cells in row order.
-    std::vector<const Column*> out_cols;
-    for (int c : proj) {
-      out_cols.push_back(batch->ColumnByName(schema->field(c).name).get());
-    }
-    for (uint32_t row : sel) {
-      for (size_t i = 0; i < out_cols.size(); ++i) {
+  // The source's selection is exact for the predicates: emit the selected
+  // rows' cells in row order.
+  while (true) {
+    POCS_ASSIGN_OR_RETURN(exec::SelectedBatch sb, source.NextSelected());
+    if (!sb.batch) break;
+    const RecordBatch& batch = *sb.batch;
+    auto emit = [&](uint32_t row) {
+      for (size_t i = 0; i < batch.num_columns(); ++i) {
         if (i) response.csv += ',';
-        AppendCell(*out_cols[i], row, &response.csv);
+        AppendCell(*batch.column(i), row, &response.csv);
       }
       response.csv += '\n';
+    };
+    if (sb.selection) {
+      for (uint32_t row : *sb.selection) emit(row);
+      response.stats.rows_returned += sb.selection->size();
+    } else {
+      for (uint32_t row = 0; row < batch.num_rows(); ++row) emit(row);
+      response.stats.rows_returned += batch.num_rows();
     }
   }
+  response.stats.rows_scanned = source.rows_read();
+  response.stats.groups_total = source.counters().row_groups_total;
+  response.stats.groups_skipped = source.counters().row_groups_skipped;
+  response.stats.object_bytes_read = source.media_bytes();
 
   {
     auto& reg = metrics::Registry::Default();
     static auto& requests = reg.GetCounter("select.requests");
     static auto& rows_scanned = reg.GetCounter("select.rows_scanned");
     static auto& rows_returned = reg.GetCounter("select.rows_returned");
-    static auto& skipped = reg.GetCounter("select.row_groups_skipped");
     static auto& media = reg.GetCounter("select.object_bytes_read");
+    static const CounterMirror<ScanCounters> scan_counters(
+        [](std::string_view name) { return "select." + std::string(name); });
     requests.Increment();
     rows_scanned.Add(response.stats.rows_scanned);
     rows_returned.Add(response.stats.rows_returned);
-    skipped.Add(response.stats.groups_skipped);
     media.Add(response.stats.object_bytes_read);
+    scan_counters.Add(source.counters());
   }
   return response;
 }

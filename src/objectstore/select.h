@@ -14,18 +14,15 @@
 #include <string>
 #include <vector>
 
-#include "columnar/kernels.h"
 #include "columnar/types.h"
 #include "format/parquet_lite.h"
+#include "format/stats.h"
 #include "objectstore/object_store.h"
 
 namespace pocs::objectstore {
 
-struct SelectPredicate {
-  std::string column;
-  columnar::CompareOp op;
-  columnar::Datum literal;
-};
+using format::ChunkMayMatch;
+using format::SelectPredicate;
 
 struct SelectRequest {
   std::string bucket;
@@ -49,8 +46,11 @@ struct SelectResponse {
   SelectStats stats;
 };
 
-// Execute a select against the local store. Row groups whose chunk
-// statistics prove no predicate match are skipped without decoding.
+// Execute a select against the local store through exec::ScanSource:
+// row groups whose chunk statistics prove no predicate match are skipped
+// without decoding, and string predicates on dictionary pages run in the
+// code domain. The scan counters stay storage-local (the `select.*`
+// registry); the response carries only SelectStats.
 Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
                                      const SelectRequest& request);
 
@@ -59,9 +59,5 @@ Result<SelectResponse> ExecuteSelect(const ObjectStore& store,
 // Hive connector to turn row-format results back into pages.
 Result<columnar::RecordBatchPtr> ParseSelectCsv(
     const std::string& csv, const columnar::SchemaPtr& schema);
-
-// True if chunk statistics cannot rule out rows matching `pred`.
-bool ChunkMayMatch(const format::ColumnStats& stats,
-                   const SelectPredicate& pred);
 
 }  // namespace pocs::objectstore

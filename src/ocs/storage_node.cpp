@@ -1,424 +1,17 @@
 #include "ocs/storage_node.h"
 
-#include <algorithm>
-#include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "columnar/ipc.h"
-#include "columnar/kernels.h"
-#include "common/bloom.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
-#include "format/encoding.h"
 #include "format/parquet_lite.h"
-#include "objectstore/select.h"
 #include "objectstore/service.h"
 
 namespace pocs::ocs {
 
-using columnar::ColumnPtr;
-using columnar::RecordBatchPtr;
-using substrait::Expression;
-using substrait::ExprKind;
 using substrait::Rel;
-using substrait::RelKind;
-using substrait::ScalarFunc;
-
-bool CollectPruningTerms(const Expression& expr,
-                         const columnar::Schema& scan_schema,
-                         std::vector<objectstore::SelectPredicate>* out) {
-  if (expr.kind != ExprKind::kCall) return false;
-  if (expr.func == ScalarFunc::kAnd) {
-    bool all = true;
-    for (const Expression& arg : expr.args) {
-      all = CollectPruningTerms(arg, scan_schema, out) && all;
-    }
-    return all;
-  }
-  if (!substrait::IsComparison(expr.func) || expr.args.size() != 2) {
-    return false;
-  }
-  const Expression* field = nullptr;
-  const Expression* literal = nullptr;
-  bool flipped = false;
-  if (expr.args[0].kind == ExprKind::kFieldRef &&
-      expr.args[1].kind == ExprKind::kLiteral) {
-    field = &expr.args[0];
-    literal = &expr.args[1];
-  } else if (expr.args[1].kind == ExprKind::kFieldRef &&
-             expr.args[0].kind == ExprKind::kLiteral) {
-    field = &expr.args[1];
-    literal = &expr.args[0];
-    flipped = true;
-  } else {
-    return false;
-  }
-  if (field->field_index < 0 ||
-      static_cast<size_t>(field->field_index) >= scan_schema.num_fields()) {
-    return false;
-  }
-  columnar::CompareOp op;
-  switch (expr.func) {
-    case ScalarFunc::kEq: op = columnar::CompareOp::kEq; break;
-    case ScalarFunc::kNe: op = columnar::CompareOp::kNe; break;
-    case ScalarFunc::kLt: op = columnar::CompareOp::kLt; break;
-    case ScalarFunc::kLe: op = columnar::CompareOp::kLe; break;
-    case ScalarFunc::kGt: op = columnar::CompareOp::kGt; break;
-    case ScalarFunc::kGe: op = columnar::CompareOp::kGe; break;
-    default: return false;
-  }
-  if (flipped) {
-    // literal <op> field  ≡  field <flipped-op> literal
-    switch (op) {
-      case columnar::CompareOp::kLt: op = columnar::CompareOp::kGt; break;
-      case columnar::CompareOp::kLe: op = columnar::CompareOp::kGe; break;
-      case columnar::CompareOp::kGt: op = columnar::CompareOp::kLt; break;
-      case columnar::CompareOp::kGe: op = columnar::CompareOp::kLe; break;
-      default: break;
-    }
-  }
-  out->push_back({scan_schema.field(field->field_index).name, op,
-                  literal->literal});
-  return true;
-}
-
-namespace {
-
-// Intersection of two ascending, duplicate-free selections.
-columnar::SelectionVector IntersectSelections(
-    const columnar::SelectionVector& a, const columnar::SelectionVector& b) {
-  columnar::SelectionVector out;
-  out.reserve(std::min(a.size(), b.size()));
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-// BatchSource over a local Parquet-lite object with projection,
-// statistics-based row-group pruning, a per-column decoded-chunk cache,
-// and a lazy-column fast path: predicate columns are decoded (or served
-// from cache) first and the pruning terms evaluated against the actual
-// values; row groups where they match zero rows never materialize the
-// remaining columns.
-//
-// Dictionary-aware late materialization (DESIGN.md §15): string predicate
-// columns whose chunk page is dictionary-encoded are evaluated in the
-// code domain — the predicate is translated once per distinct value and
-// rows filtered on the raw code bytes, without decoding any string. When
-// the surviving selection is partial, dictionary string columns
-// materialize only the selected rows (the rest stay placeholders) and
-// the selection is attached to the returned batch, so the embedded
-// engine's operators — and the bloom semi-join reduction — consume
-// selections instead of compacted copies.
-class ParquetObjectSource : public exec::BatchSource {
- public:
-  ParquetObjectSource(std::shared_ptr<format::FileReader> reader,
-                      std::vector<int> columns, columnar::SchemaPtr schema,
-                      std::vector<objectstore::SelectPredicate> pruning,
-                      std::vector<uint32_t> row_group_hint,
-                      std::unique_ptr<BloomFilter> bloom, int bloom_column,
-                      OcsExecStats* stats, RowGroupCache* cache,
-                      std::string object_id, uint64_t version)
-      : reader_(std::move(reader)),
-        columns_(std::move(columns)),
-        schema_(std::move(schema)),
-        pruning_(std::move(pruning)),
-        bloom_(std::move(bloom)),
-        bloom_column_(bloom_column),
-        stats_(stats),
-        cache_(cache),
-        object_id_(std::move(object_id)),
-        version_(version) {
-    // Version-validated by the caller: an empty hint means "scan all".
-    if (!row_group_hint.empty()) {
-      hinted_.assign(reader_->num_row_groups(), false);
-      for (uint32_t g : row_group_hint) {
-        if (g < hinted_.size()) hinted_[g] = true;
-      }
-    }
-    // An empty projection means "all columns" (ReadRowGroup/ChunkBytes
-    // semantics); expand so per-column fetches and byte accounting agree.
-    if (columns_.empty()) {
-      for (size_t c = 0; c < reader_->schema()->num_fields(); ++c) {
-        columns_.push_back(static_cast<int>(c));
-      }
-    }
-    std::vector<columnar::Field> fields;
-    fields.reserve(columns_.size());
-    for (int c : columns_) fields.push_back(reader_->schema()->field(c));
-    batch_schema_ = columnar::MakeSchema(std::move(fields));
-  }
-
-  columnar::SchemaPtr schema() const override { return schema_; }
-
-  // Materializing variant (direct callers outside the executor).
-  Result<RecordBatchPtr> Next() override {
-    POCS_ASSIGN_OR_RETURN(exec::SelectedBatch sb, NextSelected());
-    if (sb.batch && sb.selection) {
-      return columnar::TakeBatch(*sb.batch, *sb.selection);
-    }
-    return std::move(sb.batch);
-  }
-
-  Result<exec::SelectedBatch> NextSelected() override {
-    while (group_ < reader_->num_row_groups()) {
-      const size_t g = group_++;
-      // Coordinator hint first: these groups were already proven
-      // non-matching at plan time, so they never reach the per-group
-      // stats check (no double counting with row_groups_skipped).
-      if (!hinted_.empty() && !hinted_[g]) {
-        ++stats_->row_groups_hint_skipped;
-        continue;
-      }
-      bool may_match = true;
-      for (const auto& pred : pruning_) {
-        int idx = reader_->schema()->FieldIndex(pred.column);
-        if (idx < 0) continue;
-        const auto& chunk_stats =
-            reader_->meta().row_groups[g].chunks[idx].stats;
-        if (!objectstore::ChunkMayMatch(chunk_stats, pred)) {
-          may_match = false;
-          break;
-        }
-      }
-      if (!may_match) {
-        ++stats_->row_groups_skipped;
-        continue;
-      }
-
-      const size_t group_rows = reader_->meta().row_groups[g].num_rows;
-      // Per-group resolution state: fully decoded columns, and string
-      // chunks kept in dictionary (code) form for late materialization.
-      std::unordered_map<int, ColumnPtr> fetched;
-      std::unordered_map<int, format::DictionaryPage> dict_pages;
-
-      // Resolve one column for evaluation: cache first; then, for string
-      // chunks whose page is dictionary-encoded, retain the page in the
-      // code domain (dict_pages) instead of decoding values; everything
-      // else decodes into `fetched`. Returns the dictionary page, or
-      // nullptr when the column landed in `fetched`.
-      auto resolve = [&](int c) -> Result<const format::DictionaryPage*> {
-        if (auto dit = dict_pages.find(c); dit != dict_pages.end()) {
-          return &dit->second;
-        }
-        if (fetched.count(c) != 0) {
-          return static_cast<const format::DictionaryPage*>(nullptr);
-        }
-        const columnar::Field& field = reader_->schema()->field(c);
-        if (field.type == columnar::TypeKind::kString) {
-          const uint64_t chunk_bytes = reader_->ChunkBytes(g, {c});
-          RowGroupCacheKey key{object_id_, version_, g, c};
-          if (cache_) {
-            if (ColumnPtr hit = cache_->Lookup(key)) {
-              ++stats_->cache_hits;
-              stats_->cache_bytes_saved += chunk_bytes;
-              fetched.emplace(c, std::move(hit));
-              return static_cast<const format::DictionaryPage*>(nullptr);
-            }
-          }
-          POCS_ASSIGN_OR_RETURN(Bytes page, reader_->ReadChunkPage(g, c));
-          stats_->object_bytes_read += chunk_bytes;
-          POCS_ASSIGN_OR_RETURN(
-              std::optional<format::DictionaryPage> dict,
-              format::DecodeDictionaryPage(page, field, group_rows));
-          if (dict) {
-            return &dict_pages.emplace(c, std::move(*dict)).first->second;
-          }
-          // Plain page: decode from the bytes already in hand — the same
-          // accounting as a FetchColumn miss (the media read was charged
-          // above, once).
-          POCS_ASSIGN_OR_RETURN(ColumnPtr col,
-                                format::DecodePage(page, field, group_rows));
-          if (cache_) {
-            ++stats_->cache_misses;
-            cache_->Insert(key, col, col->ByteSize());
-          }
-          fetched.emplace(c, std::move(col));
-          return static_cast<const format::DictionaryPage*>(nullptr);
-        }
-        POCS_ASSIGN_OR_RETURN(ColumnPtr col, FetchColumn(g, c));
-        fetched.emplace(c, std::move(col));
-        return static_cast<const format::DictionaryPage*>(nullptr);
-      };
-
-      // Lazy-column fast path: evaluate the pruning conjuncts against
-      // predicate columns only — in the code domain where the chunk is
-      // dictionary-encoded. Every pruned term is a conjunct of the filter
-      // that sits above this scan, so a group where their conjunction
-      // matches zero rows contributes nothing to the query — skip it
-      // before touching the remaining (often much wider) columns.
-      // Otherwise the surviving selection rides along with the batch.
-      std::optional<columnar::SelectionVector> sel;
-      bool lazy_skip = false;
-      if (!pruning_.empty() && HasNonPredicateColumns()) {
-        for (const auto& pred : pruning_) {
-          int idx = reader_->schema()->FieldIndex(pred.column);
-          if (idx < 0) continue;
-          POCS_ASSIGN_OR_RETURN(const format::DictionaryPage* dict,
-                                resolve(idx));
-          if (dict != nullptr) {
-            const size_t before = sel ? sel->size() : group_rows;
-            std::vector<uint8_t> match =
-                format::TranslateDictPredicate(*dict, pred.op, pred.literal);
-            columnar::SelectionVector out =
-                format::FilterDictCodes(*dict, match, sel ? &*sel : nullptr);
-            stats_->rows_dict_filtered += before - out.size();
-            sel = std::move(out);
-          } else {
-            sel = columnar::CompareScalar(*fetched.at(idx), pred.op,
-                                          pred.literal, sel ? &*sel : nullptr);
-          }
-          if (sel->empty()) {
-            lazy_skip = true;
-            break;
-          }
-        }
-      }
-      if (lazy_skip) {
-        ++stats_->row_groups_lazy_skipped;
-        continue;
-      }
-
-      // Semi-join bloom reduction (DESIGN.md §14): probe the join-key
-      // column and drop rows the bloom proves unmatched. A group where
-      // every key misses never materializes its other columns. The probe
-      // runs over all rows (its pruned-row accounting predates predicate
-      // selections); the two selections are then intersected.
-      if (bloom_ && bloom_column_ >= 0 &&
-          static_cast<size_t>(bloom_column_) < columns_.size()) {
-        const int key_col = columns_[bloom_column_];
-        POCS_ASSIGN_OR_RETURN(const format::DictionaryPage* key_dict,
-                              resolve(key_col));
-        // A dictionary (string) key column cannot probe an integer-key
-        // bloom; BloomSelectRows keeps every row of a non-integer column,
-        // so the probe is a no-op — skip it.
-        if (key_dict == nullptr) {
-          columnar::SelectionVector bloom_sel =
-              exec::BloomSelectRows(*fetched.at(key_col), *bloom_);
-          if (bloom_sel.empty()) {
-            stats_->bloom_rows_pruned += group_rows;
-            continue;
-          }
-          if (bloom_sel.size() < group_rows) {
-            stats_->bloom_rows_pruned += group_rows - bloom_sel.size();
-            sel = sel ? IntersectSelections(*sel, bloom_sel)
-                      : std::move(bloom_sel);
-          }
-        }
-      }
-
-      if (sel && sel->size() == group_rows) sel.reset();  // full — drop
-      const bool partial = sel.has_value();
-
-      std::vector<ColumnPtr> cols;
-      cols.reserve(columns_.size());
-      for (int c : columns_) {
-        // Under a partial selection, string columns go through the
-        // resolver so dictionary chunks can late-materialize survivors
-        // only — this is where the wide projected string column avoids
-        // decoding pruned rows.
-        if (partial && fetched.count(c) == 0 && dict_pages.count(c) == 0 &&
-            reader_->schema()->field(c).type == columnar::TypeKind::kString) {
-          POCS_RETURN_NOT_OK(resolve(c).status());
-        }
-        if (auto it = fetched.find(c); it != fetched.end()) {
-          cols.push_back(it->second);
-          continue;
-        }
-        if (auto dit = dict_pages.find(c); dit != dict_pages.end()) {
-          if (partial) {
-            // Placeholder rows make the column unusable outside this
-            // batch+selection pair — never cached.
-            cols.push_back(
-                format::MaterializeDictionarySelected(dit->second, *sel));
-            stats_->rows_late_materialized += sel->size();
-          } else {
-            ColumnPtr col = format::MaterializeDictionary(dit->second);
-            if (cache_) {
-              ++stats_->cache_misses;
-              cache_->Insert(RowGroupCacheKey{object_id_, version_, g, c},
-                             col, col->ByteSize());
-            }
-            cols.push_back(std::move(col));
-          }
-          continue;
-        }
-        POCS_ASSIGN_OR_RETURN(ColumnPtr col, FetchColumn(g, c));
-        cols.push_back(std::move(col));
-      }
-      RecordBatchPtr batch =
-          columnar::MakeBatch(batch_schema_, std::move(cols));
-      return exec::SelectedBatch{std::move(batch), std::move(sel)};
-    }
-    return exec::SelectedBatch{RecordBatchPtr{}, std::nullopt};
-  }
-
- private:
-  bool HasNonPredicateColumns() const {
-    for (int c : columns_) {
-      bool is_pred = false;
-      for (const auto& pred : pruning_) {
-        if (reader_->schema()->FieldIndex(pred.column) == c) {
-          is_pred = true;
-          break;
-        }
-      }
-      if (!is_pred) return true;
-    }
-    return false;
-  }
-
-  // One decoded column chunk, cache-first. A hit skips the media read
-  // (cache_bytes_saved accounts the avoided bytes); a miss decodes,
-  // charges the media read, and populates the cache.
-  Result<ColumnPtr> FetchColumn(size_t g, int c) {
-    const uint64_t chunk_bytes = reader_->ChunkBytes(g, {c});
-    RowGroupCacheKey key{object_id_, version_, g, c};
-    if (cache_) {
-      if (ColumnPtr hit = cache_->Lookup(key)) {
-        ++stats_->cache_hits;
-        stats_->cache_bytes_saved += chunk_bytes;
-        return hit;
-      }
-    }
-    POCS_ASSIGN_OR_RETURN(RecordBatchPtr batch, reader_->ReadRowGroup(g, {c}));
-    ColumnPtr col = batch->column(0);
-    stats_->object_bytes_read += chunk_bytes;
-    if (cache_) {
-      ++stats_->cache_misses;
-      cache_->Insert(key, col, col->ByteSize());
-    }
-    return col;
-  }
-
-  std::shared_ptr<format::FileReader> reader_;
-  std::vector<int> columns_;
-  columnar::SchemaPtr schema_;
-  columnar::SchemaPtr batch_schema_;
-  std::vector<objectstore::SelectPredicate> pruning_;
-  std::vector<bool> hinted_;  // empty = no hint; else hinted_[g] = keep
-  std::unique_ptr<BloomFilter> bloom_;  // null = no pushed bloom filter
-  int bloom_column_ = -1;               // position in columns_ order
-  OcsExecStats* stats_;
-  RowGroupCache* cache_;
-  std::string object_id_;
-  uint64_t version_;
-  size_t group_ = 0;
-};
-
-}  // namespace
 
 Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   if (faults_.exec_crashed.load(std::memory_order_relaxed)) {
@@ -431,58 +24,22 @@ Result<OcsResult> StorageNode::ExecutePlan(const substrait::Plan& plan) const {
   Stopwatch timer;
   OcsResult result;
 
-  // Locate the read leaf and, if a filter sits directly above it, derive
-  // pruning terms against the scan schema.
   const Rel* read = plan.root.get();
-  const Rel* above_read = nullptr;
-  while (read->input) {
-    above_read = read;
-    read = read->input.get();
-  }
-  if (read->kind != RelKind::kRead) {
-    return Status::InvalidArgument("ocs: plan must scan a named object");
-  }
-
-  const Rel& r = *read;
+  while (read->input) read = read->input.get();
   POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
-                        store_->GetVersioned(r.bucket, r.object));
+                        store_->GetVersioned(read->bucket, read->object));
   POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object.data));
-  if (!reader->schema()->Equals(*r.base_schema)) {
-    return Status::InvalidArgument("ocs: plan schema != object schema");
-  }
-  POCS_ASSIGN_OR_RETURN(columnar::SchemaPtr scan_schema,
-                        substrait::OutputSchema(r));
-  std::vector<objectstore::SelectPredicate> pruning;
-  if (above_read && above_read->kind == RelKind::kFilter) {
-    CollectPruningTerms(above_read->predicate, *scan_schema, &pruning);
-  }
-  // Honor the planner's row-group hint only when it was computed from
-  // this exact object version; a hint from stale stats is discarded
-  // entirely (correctness never depends on the hint).
-  std::vector<uint32_t> hint;
-  if (!r.row_group_hint.empty() && r.hint_version == object.version) {
-    hint = r.row_group_hint;
-  }
-  // Same version-pin discipline for the pushed bloom filter: apply it
-  // only when it was built against this exact object version. A stale
-  // pin silently degrades to an unfiltered scan — the engine's exact
-  // probe keeps the answer correct either way.
-  std::unique_ptr<BloomFilter> bloom;
-  if (!r.bloom_words.empty() && r.bloom_version == object.version) {
-    bloom = std::make_unique<BloomFilter>(r.bloom_words, r.bloom_hashes,
-                                          r.bloom_seed);
-  }
-  result.stats.row_groups_total += reader->num_row_groups();
+  POCS_ASSIGN_OR_RETURN(
+      std::unique_ptr<exec::ScanSource> source,
+      exec::OpenPlanScan(plan, std::move(reader), object.version,
+                         rowgroup_cache_.get()));
   result.stats.object_version = object.version;
-  ParquetObjectSource source(
-      std::move(reader), r.read_columns, std::move(scan_schema),
-      std::move(pruning), std::move(hint), std::move(bloom), r.bloom_column,
-      &result.stats, rowgroup_cache_.get(), r.bucket + "/" + r.object,
-      object.version);
 
   exec::ExecStats exec_stats;
   POCS_ASSIGN_OR_RETURN(auto table,
-                        exec::ExecuteRel(*plan.root, source, &exec_stats));
+                        exec::ExecuteRel(*plan.root, *source, &exec_stats));
+  static_cast<ScanCounters&>(result.stats) = source->counters();
+  result.stats.object_bytes_read = source->media_bytes();
   result.stats.rows_scanned = exec_stats.rows_scanned;
   result.stats.rows_output = exec_stats.rows_output;
   result.arrow_ipc = columnar::ipc::SerializeTable(*table);
@@ -520,33 +77,28 @@ Status StorageNode::WarmObjectCache(const std::string& bucket,
   if (!rowgroup_cache_) return Status::OK();
   POCS_ASSIGN_OR_RETURN(objectstore::VersionedObject object,
                         store_->GetVersioned(bucket, key));
-  POCS_ASSIGN_OR_RETURN(auto reader_owned,
-                        format::FileReader::Open(*object.data));
-  std::shared_ptr<format::FileReader> reader = std::move(reader_owned);
-  const std::string object_id = bucket + "/" + key;
-  const size_t num_fields = reader->schema()->num_fields();
-  const size_t n = reader->num_row_groups() * num_fields;
-
+  POCS_ASSIGN_OR_RETURN(auto reader, format::FileReader::Open(*object.data));
+  // One unfiltered scan per row group (a hint of that group alone), so
+  // groups decode in parallel; the scan caches every column it decodes.
   Mutex error_mu;
   Status first_error = Status::OK();
-  auto warm_one = [&](size_t i) {
-    const size_t g = i / num_fields;
-    const int c = static_cast<int>(i % num_fields);
-    auto batch = reader->ReadRowGroup(g, {c});
+  auto warm_one = [&](size_t g) {
+    exec::ScanOptions options;
+    options.row_group_hint = {static_cast<uint32_t>(g)};
+    options.cache = rowgroup_cache_.get();
+    options.object_id = bucket + "/" + key;
+    options.object_version = object.version;
+    exec::ScanSource scan(reader, std::move(options));
+    Result<exec::SelectedBatch> batch = scan.NextSelected();
     if (!batch.ok()) {
       MutexLock lock(error_mu);
       if (first_error.ok()) first_error = batch.status();
-      return;
     }
-    ColumnPtr col = (*batch)->column(0);
-    rowgroup_cache_->Insert(
-        RowGroupCacheKey{object_id, object.version, g, c}, col,
-        col->ByteSize());
   };
-  if (pool) {
-    pool->ParallelFor(n, warm_one);
+  if (pool != nullptr) {
+    pool->ParallelFor(reader->num_row_groups(), warm_one);
   } else {
-    for (size_t i = 0; i < n; ++i) warm_one(i);
+    for (size_t g = 0; g < reader->num_row_groups(); ++g) warm_one(g);
   }
   return first_error;
 }

@@ -20,13 +20,10 @@
 #include <string>
 
 #include "columnar/column.h"
-#include "common/hash.h"
-#include "common/lru_cache.h"
 #include "common/query_counters.h"
 #include "common/thread_pool.h"
-#include "exec/plan_executor.h"
+#include "exec/scan_source.h"
 #include "objectstore/object_store.h"
-#include "objectstore/select.h"
 #include "rpc/rpc.h"
 #include "substrait/serialize.h"
 
@@ -87,35 +84,13 @@ struct OcsResult {
   OcsExecStats stats;
 };
 
-// Key of one decoded column chunk in a node's row-group cache.
-struct RowGroupCacheKey {
-  std::string object;   // "bucket/key"
-  uint64_t version = 0;
-  uint64_t group = 0;
-  int32_t column = 0;
-  bool operator==(const RowGroupCacheKey&) const = default;
-};
-
-struct RowGroupCacheKeyHash {
-  size_t operator()(const RowGroupCacheKey& k) const {
-    uint64_t h = HashString(k.object);
-    h = HashCombine(h, k.version);
-    h = HashCombine(h, k.group);
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(k.column)));
-    return static_cast<size_t>(h);
-  }
-};
-
-using RowGroupCache =
-    ShardedLruCache<RowGroupCacheKey, columnar::Column, RowGroupCacheKeyHash>;
-
 class StorageNode {
  public:
   StorageNode(std::shared_ptr<objectstore::ObjectStore> store,
               StorageNodeConfig config)
       : store_(std::move(store)), config_(config) {
     if (config_.rowgroup_cache_bytes > 0) {
-      rowgroup_cache_ = std::make_shared<RowGroupCache>(LruCacheConfig{
+      rowgroup_cache_ = std::make_shared<exec::RowGroupCache>(LruCacheConfig{
           .byte_budget = config_.rowgroup_cache_bytes,
           .shards = 8,
           .metric_prefix = "ocs.rowgroup_cache"});
@@ -144,7 +119,7 @@ class StorageNode {
   StorageNodeFaults& faults() const { return faults_; }
 
   // The node's decoded row-group cache (nullptr when disabled).
-  const std::shared_ptr<RowGroupCache>& rowgroup_cache() const {
+  const std::shared_ptr<exec::RowGroupCache>& rowgroup_cache() const {
     return rowgroup_cache_;
   }
 
@@ -153,7 +128,7 @@ class StorageNode {
   StorageNodeConfig config_;
   mutable StorageNodeFaults faults_;
   // Internally synchronized; shared across concurrent ExecutePlan calls.
-  std::shared_ptr<RowGroupCache> rowgroup_cache_;
+  std::shared_ptr<exec::RowGroupCache> rowgroup_cache_;
 };
 
 // Wire helpers for OcsResult (shared with the frontend, which forwards
@@ -161,14 +136,7 @@ class StorageNode {
 void EncodeOcsResult(const OcsResult& result, BufferWriter* out);
 Result<OcsResult> DecodeOcsResult(BufferReader* in);
 
-// Collect conjunctive `field <cmp> literal` terms from a predicate against
-// `scan_schema`. Returns true when every conjunct became a term. Pruning
-// ignores the rest (it stays conservative) and is shared with the
-// coordinator-side split pruner, so plan-time and storage-time pruning
-// evaluate the exact same terms (DESIGN.md §13). The Hive connector's
-// Select API takes a filter only when the result is true.
-bool CollectPruningTerms(const substrait::Expression& expr,
-                         const columnar::Schema& scan_schema,
-                         std::vector<objectstore::SelectPredicate>* out);
+// The pruning-term collector lives with the scan source it feeds.
+using exec::CollectPruningTerms;
 
 }  // namespace pocs::ocs

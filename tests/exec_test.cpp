@@ -1,14 +1,18 @@
 // Tests for the shared execution primitives: hash aggregation, sort /
-// top-N / fetch, and the plan-chain executor (including the fused
-// streaming paths).
+// top-N / fetch, the plan-chain executor (including the fused streaming
+// paths), and the one Parquet-lite scan source (exec::ScanSource).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
+#include <set>
 
 #include "exec/hash_aggregator.h"
 #include "exec/plan_executor.h"
+#include "exec/scan_source.h"
 #include "exec/sorter.h"
+#include "format/parquet_lite.h"
 #include "substrait/eval.h"
 
 namespace pocs::exec {
@@ -667,6 +671,318 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OracleCase>& info) {
       return std::string(info.param.name);
     });
+
+// ---- ScanSource ------------------------------------------------------------
+
+// 4 row groups x 100 rows: id = 0..399 (group g holds [100g, 100g+100)),
+// flag cycles A/B/C (a dictionary page in every group), v = id / 2.
+std::shared_ptr<const format::FileReader> ScanFile() {
+  auto schema = MakeSchema({{"id", TypeKind::kInt64},
+                            {"flag", TypeKind::kString},
+                            {"v", TypeKind::kFloat64}});
+  auto id = MakeColumn(TypeKind::kInt64);
+  auto flag = MakeColumn(TypeKind::kString);
+  auto v = MakeColumn(TypeKind::kFloat64);
+  for (int64_t i = 0; i < 400; ++i) {
+    id->AppendInt64(i);
+    flag->AppendString(std::string(1, static_cast<char>('A' + i % 3)));
+    v->AppendFloat64(static_cast<double>(i) / 2);
+  }
+  format::WriterOptions options;
+  options.rows_per_group = 100;
+  format::FileWriter writer(schema, options);
+  EXPECT_TRUE(writer.WriteBatch(*MakeBatch(schema, {id, flag, v})).ok());
+  auto file = writer.Finish();
+  EXPECT_TRUE(file.ok());
+  auto reader = format::FileReader::Open(std::move(*file));
+  EXPECT_TRUE(reader.ok());
+  return *reader;
+}
+
+format::SelectPredicate Term(const std::string& column, columnar::CompareOp op,
+                             Datum literal) {
+  return {column, op, std::move(literal)};
+}
+
+// Every selected row as "id|flag|v" (output columns in order), and the
+// number of batches the source returned.
+struct ScanOutput {
+  std::vector<std::string> rows;
+  size_t batches = 0;
+};
+
+ScanOutput Drain(ScanSource& source) {
+  ScanOutput out;
+  while (true) {
+    auto sb = source.NextSelected();
+    EXPECT_TRUE(sb.ok()) << sb.status();
+    if (!sb.ok() || !sb->batch) break;
+    ++out.batches;
+    RecordBatchPtr batch = sb->selection
+                               ? columnar::TakeBatch(*sb->batch, *sb->selection)
+                               : sb->batch;
+    for (size_t r = 0; r < batch->num_rows(); ++r) {
+      std::string row;
+      for (size_t c = 0; c < batch->num_columns(); ++c) {
+        if (c) row += "|";
+        row += batch->column(c)->GetDatum(r).ToString();
+      }
+      out.rows.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+// The reference: a full decode of every group, filtered row by row.
+std::vector<std::string> NaiveScan(
+    const format::FileReader& reader, const std::vector<int>& columns,
+    const std::function<bool(int64_t id, const std::string& flag)>& keep) {
+  std::vector<std::string> rows;
+  for (size_t g = 0; g < reader.num_row_groups(); ++g) {
+    auto batch = reader.ReadRowGroup(g);
+    EXPECT_TRUE(batch.ok());
+    for (size_t r = 0; r < (*batch)->num_rows(); ++r) {
+      if (!keep((*batch)->column(0)->GetInt64(r),
+                std::string((*batch)->column(1)->GetString(r)))) {
+        continue;
+      }
+      std::string row;
+      for (size_t i = 0; i < columns.size(); ++i) {
+        if (i) row += "|";
+        row += (*batch)->column(columns[i])->GetDatum(r).ToString();
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+TEST(ScanSourceTest, HintSkipsGroupsBeforeStats) {
+  auto reader = ScanFile();
+  ScanOptions options;
+  options.row_group_hint = {1, 3};
+  options.terms = {Term("id", columnar::CompareOp::kGe, Datum::Int64(300))};
+  ScanSource source(reader, std::move(options));
+  ScanOutput out = Drain(source);
+  EXPECT_EQ(source.counters().row_groups_total, 4u);
+  EXPECT_EQ(source.counters().row_groups_hint_skipped, 2u);  // groups 0, 2
+  EXPECT_EQ(source.counters().row_groups_skipped, 1u);       // group 1
+  EXPECT_EQ(out.rows.size(), 100u);
+  EXPECT_EQ(source.rows_read(), 100u);
+}
+
+TEST(ScanSourceTest, StatsPruneReadsNoChunkOfSkippedGroups) {
+  auto reader = ScanFile();
+  ScanOptions options;
+  options.columns = {0, 2};
+  options.terms = {Term("id", columnar::CompareOp::kLt, Datum::Int64(150))};
+  ScanSource source(reader, std::move(options));
+  ScanOutput out = Drain(source);
+  EXPECT_EQ(source.counters().row_groups_skipped, 2u);
+  EXPECT_EQ(source.media_bytes(), reader->ChunkBytes(0, {0, 2}) +
+                                      reader->ChunkBytes(1, {0, 2}));
+  EXPECT_EQ(out.rows,
+            NaiveScan(*reader, {0, 2},
+                      [](int64_t id, const std::string&) { return id < 150; }));
+}
+
+TEST(ScanSourceTest, FractionalLiteralOnIntegerColumnIsExact) {
+  auto reader = ScanFile();
+  // id < 149.5 keeps id 149 (a truncated literal would drop it), and
+  // id > 149.5 starts at 150; both with and without the lazy path.
+  for (std::vector<int> columns : {std::vector<int>{0}, {0, 2}}) {
+    ScanOptions below;
+    below.columns = columns;
+    below.terms = {Term("id", columnar::CompareOp::kLt, Datum::Float64(149.5))};
+    ScanSource lt(reader, std::move(below));
+    EXPECT_EQ(Drain(lt).rows,
+              NaiveScan(*reader, columns,
+                        [](int64_t id, const std::string&) { return id < 150; }));
+    ScanOptions above;
+    above.columns = columns;
+    above.terms = {Term("id", columnar::CompareOp::kGt, Datum::Float64(149.5))};
+    ScanSource gt(reader, std::move(above));
+    EXPECT_EQ(Drain(gt).rows,
+              NaiveScan(*reader, columns, [](int64_t id, const std::string&) {
+                return id >= 150;
+              }));
+  }
+}
+
+TEST(ScanSourceTest, LazySkipDecodesOnlyTermColumns) {
+  auto reader = ScanFile();
+  // v = 10.25 lies inside group 0's [0, 49.5] bounds but no row holds it:
+  // the group is dropped after decoding v alone.
+  ScanOptions options;
+  options.columns = {0, 1};
+  options.terms = {Term("v", columnar::CompareOp::kEq, Datum::Float64(10.25))};
+  ScanSource source(reader, std::move(options));
+  ScanOutput out = Drain(source);
+  EXPECT_TRUE(out.rows.empty());
+  EXPECT_EQ(out.batches, 0u);
+  EXPECT_EQ(source.counters().row_groups_skipped, 3u);
+  EXPECT_EQ(source.counters().row_groups_lazy_skipped, 1u);
+  EXPECT_EQ(source.media_bytes(), reader->ChunkBytes(0, {2}));
+}
+
+TEST(ScanSourceTest, EveryColumnATermColumnKeepsTheBatch) {
+  auto reader = ScanFile();
+  // No column is left to skip: the group comes back under an empty
+  // selection, so it still counts as scanned downstream.
+  ScanOptions options;
+  options.columns = {2};
+  options.terms = {Term("v", columnar::CompareOp::kEq, Datum::Float64(10.25))};
+  ScanSource source(reader, std::move(options));
+  auto sb = source.NextSelected();
+  ASSERT_TRUE(sb.ok()) << sb.status();
+  ASSERT_NE(sb->batch, nullptr);
+  ASSERT_TRUE(sb->selection.has_value());
+  EXPECT_TRUE(sb->selection->empty());
+  EXPECT_EQ(source.counters().row_groups_lazy_skipped, 0u);
+}
+
+TEST(ScanSourceTest, DictionaryFilterAndLateMaterialization) {
+  auto reader = ScanFile();
+  ScanOptions options;
+  options.columns = {0, 1, 2};
+  options.terms = {Term("flag", columnar::CompareOp::kEq, Datum::String("B"))};
+  ScanSource source(reader, std::move(options));
+  ScanOutput out = Drain(source);
+  EXPECT_EQ(out.rows, NaiveScan(*reader, {0, 1, 2},
+                                [](int64_t, const std::string& flag) {
+                                  return flag == "B";
+                                }));
+  // The term ran on the code bytes: 2 of 3 rows rejected per group.
+  EXPECT_EQ(source.counters().rows_dict_filtered, 400u - out.rows.size());
+  // flag late-materialized the survivors only.
+  EXPECT_EQ(source.counters().rows_late_materialized, out.rows.size());
+}
+
+TEST(ScanSourceTest, BloomIntersectsTheTermSelection) {
+  auto reader = ScanFile();
+  auto bloom = std::make_unique<BloomFilter>(/*num_bits=*/4096,
+                                             /*num_hashes=*/3, /*seed=*/7);
+  for (int64_t id = 0; id < 400; id += 4) bloom->Add(static_cast<uint64_t>(id));
+  ScanOptions options;
+  options.columns = {1, 0};  // the bloom key is output column 1
+  options.terms = {Term("flag", columnar::CompareOp::kNe, Datum::String("A"))};
+  options.bloom = std::move(bloom);
+  options.bloom_column = 1;
+  ScanSource source(reader, std::move(options));
+  ScanOutput out = Drain(source);
+  // Bloom false positives may survive; every row must pass the term and
+  // every multiple of 4 that passes the term must be present.
+  std::set<std::string> got(out.rows.begin(), out.rows.end());
+  for (int64_t id = 0; id < 400; ++id) {
+    const std::string flag(1, static_cast<char>('A' + id % 3));
+    const std::string row = "'" + flag + "'|" + std::to_string(id);
+    if (flag == "A") {
+      EXPECT_EQ(got.count(row), 0u) << row;
+    } else if (id % 4 == 0) {
+      EXPECT_EQ(got.count(row), 1u) << row;
+    }
+  }
+  EXPECT_GT(source.counters().bloom_rows_pruned, 0u);
+  EXPECT_LT(out.rows.size(), 400u * 2 / 3);
+}
+
+TEST(ScanSourceTest, CacheHitServesTheSameRowsWithoutMediaReads) {
+  auto reader = ScanFile();
+  RowGroupCache cache(
+      LruCacheConfig{.byte_budget = 1 << 20, .shards = 2, .metric_prefix = ""});
+  auto scan = [&] {
+    ScanOptions options;
+    options.terms = {Term("id", columnar::CompareOp::kGe, Datum::Int64(200))};
+    options.cache = &cache;
+    options.object_id = "b/f";
+    options.object_version = 3;
+    return std::make_unique<ScanSource>(reader, std::move(options));
+  };
+  auto cold = scan();
+  ScanOutput cold_out = Drain(*cold);
+  EXPECT_EQ(cold->counters().cache_hits, 0u);
+  EXPECT_EQ(cold->counters().cache_misses, 6u);  // 2 groups x 3 columns
+  EXPECT_GT(cold->media_bytes(), 0u);
+
+  auto warm = scan();
+  ScanOutput warm_out = Drain(*warm);
+  EXPECT_EQ(warm_out.rows, cold_out.rows);
+  EXPECT_EQ(warm->counters().cache_hits, 6u);
+  EXPECT_EQ(warm->counters().cache_misses, 0u);
+  EXPECT_EQ(warm->media_bytes(), 0u);
+  EXPECT_EQ(warm->counters().cache_bytes_saved, cold->media_bytes());
+}
+
+// A plan Read (filter id >= 300 above it) carrying a hint and a bloom
+// pinned to object version 5.
+substrait::Plan PinnedPlan(const std::shared_ptr<const format::FileReader>& r) {
+  auto read = std::make_unique<Rel>();
+  read->kind = RelKind::kRead;
+  read->bucket = "b";
+  read->object = "f";
+  read->base_schema = r->schema();
+  read->row_group_hint = {0};
+  read->hint_version = 5;
+  BloomFilter bloom(/*num_bits=*/64, /*num_hashes=*/2, /*seed=*/1);
+  bloom.Add(0);
+  read->bloom_words.assign(bloom.words().begin(), bloom.words().end());
+  read->bloom_hashes = bloom.num_hashes();
+  read->bloom_seed = bloom.seed();
+  read->bloom_column = 0;
+  read->bloom_version = 5;
+  auto filter = std::make_unique<Rel>();
+  filter->kind = RelKind::kFilter;
+  filter->input = std::move(read);
+  filter->predicate = Expression::Call(
+      ScalarFunc::kGe,
+      {Expression::FieldRef(0, TypeKind::kInt64),
+       Expression::Literal(Datum::Int64(300))},
+      TypeKind::kBool);
+  substrait::Plan plan;
+  plan.root = std::move(filter);
+  return plan;
+}
+
+TEST(ScanSourceTest, OpenPlanScanHonoursOnlyMatchingPins) {
+  auto reader = ScanFile();
+  const substrait::Plan plan = PinnedPlan(reader);
+
+  // Matching pin: the hint keeps group 0 only, which stats then prune.
+  auto pinned = OpenPlanScan(plan, reader, /*object_version=*/5, nullptr);
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  EXPECT_TRUE(Drain(**pinned).rows.empty());
+  EXPECT_EQ((*pinned)->counters().row_groups_hint_skipped, 3u);
+
+  // A stale (6) or unknown (0) version drops hint and bloom wholesale;
+  // statistics pruning still runs on the bytes in hand.
+  for (uint64_t version : {uint64_t{6}, uint64_t{0}}) {
+    auto scan = OpenPlanScan(plan, reader, version, nullptr);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    ScanOutput out = Drain(**scan);
+    EXPECT_EQ(out.rows.size(), 100u) << version;
+    EXPECT_EQ((*scan)->counters().row_groups_hint_skipped, 0u) << version;
+    EXPECT_EQ((*scan)->counters().row_groups_skipped, 3u) << version;
+    EXPECT_EQ((*scan)->counters().bloom_rows_pruned, 0u) << version;
+  }
+}
+
+TEST(ScanSourceTest, OpenPlanScanRejectsSchemaMismatch) {
+  auto reader = ScanFile();
+  substrait::Plan plan = PinnedPlan(reader);
+  plan.root->input->base_schema =
+      MakeSchema({{"id", TypeKind::kInt64}, {"v", TypeKind::kFloat64}});
+  auto scan = OpenPlanScan(plan, reader, 5, nullptr);
+  EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ScanSourceTest, OpenPlanScanRejectsBadReadColumnWithoutFilter) {
+  auto reader = ScanFile();
+  substrait::Plan plan = PinnedPlan(reader);
+  plan.root = std::move(plan.root->input);  // a bare Read, no Filter
+  plan.root->read_columns = {0, 7};
+  auto scan = OpenPlanScan(plan, reader, 5, nullptr);
+  EXPECT_EQ(scan.status().code(), StatusCode::kInvalidArgument);
+}
 
 }  // namespace
 }  // namespace pocs::exec

@@ -7,13 +7,16 @@
 // label (run with `ctest -L kernels`, also under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "columnar/kernels.h"
 #include "common/bloom.h"
-#include "exec/plan_executor.h"
+#include "exec/scan_source.h"
 #include "format/encoding.h"
 #include "format/parquet_lite.h"
 #include "objectstore/object_store.h"
@@ -219,6 +222,71 @@ TEST(CompareScalarTest, AllAndNoneMatch) {
   for (uint32_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
   EXPECT_TRUE(CompareScalar(*col, CompareOp::kGt, Datum::Int64(1000), nullptr)
                   .empty());
+}
+
+// An integer column against a float literal compares exactly: fractional
+// literals round to the bound that keeps the answer (`v < 1.5` keeps 1),
+// literals beyond int64 select all or nothing, and NaN matches only <>.
+// The oracle compares in double, exact for these values.
+TEST(CompareScalarTest, IntegerColumnComparesFloatLiteralExactly) {
+  for (TypeKind type : {TypeKind::kInt64, TypeKind::kInt32}) {
+    auto col = columnar::MakeColumn(type);
+    std::vector<int64_t> values;
+    for (int64_t v = -4; v <= 4; ++v) values.push_back(v);
+    if (type == TypeKind::kInt64) {
+      values.push_back(std::numeric_limits<int64_t>::max());
+      values.push_back(std::numeric_limits<int64_t>::min() + 1);
+    }
+    for (int64_t v : values) {
+      if (type == TypeKind::kInt64) {
+        col->AppendInt64(v);
+      } else {
+        col->AppendInt32(static_cast<int32_t>(v));
+      }
+    }
+    col->AppendNull();
+    const SelectionVector some = {0, 2, 5, 6, 9};
+    for (double x : {1.5, -1.5, 2.0, -0.25, 0.75, 1e19, -1e19,
+                     std::numeric_limits<double>::quiet_NaN()}) {
+      for (CompareOp op : kAllOps) {
+        SelectionVector expected;
+        for (uint32_t i = 0; i < values.size(); ++i) {
+          const double v = static_cast<double>(values[i]);
+          bool hit = false;
+          switch (op) {
+            case CompareOp::kEq: hit = v == x; break;
+            case CompareOp::kNe: hit = v != x; break;
+            case CompareOp::kLt: hit = v < x; break;
+            case CompareOp::kLe: hit = v <= x; break;
+            case CompareOp::kGt: hit = v > x; break;
+            case CompareOp::kGe: hit = v >= x; break;
+          }
+          if (hit) expected.push_back(i);
+        }
+        SelectionVector expected_some;
+        for (uint32_t i : some) {
+          if (std::find(expected.begin(), expected.end(), i) !=
+              expected.end()) {
+            expected_some.push_back(i);
+          }
+        }
+        const Datum lit = Datum::Float64(x);
+        EXPECT_EQ(CompareScalar(*col, op, lit, nullptr), expected)
+            << columnar::CompareOpName(op) << " " << x;
+        EXPECT_EQ(CompareScalar(*col, op, lit, &some), expected_some)
+            << columnar::CompareOpName(op) << " " << x;
+      }
+      // BETWEEN x AND x + 2: the integers in [x, x + 2], exactly.
+      SelectionVector between;
+      for (uint32_t i = 0; i < values.size(); ++i) {
+        const double v = static_cast<double>(values[i]);
+        if (v >= x && v <= x + 2) between.push_back(i);
+      }
+      EXPECT_EQ(Between(*col, Datum::Float64(x), Datum::Float64(x + 2)),
+                between)
+          << x;
+    }
+  }
 }
 
 TEST(CompareScalarTest, NullLiteralMatchesNothing) {
@@ -632,11 +700,11 @@ TEST(StorageNodeDictTest, StringPredicateUsesCodeDomain) {
   // row-group cache; fully decoded non-string columns must.
   ASSERT_TRUE(node.rowgroup_cache() != nullptr);
   EXPECT_EQ(node.rowgroup_cache()->Lookup(
-                ocs::RowGroupCacheKey{"d/f0", result->stats.object_version,
+                exec::RowGroupCacheKey{"d/f0", result->stats.object_version,
                                       0, 1}),
             nullptr);
   EXPECT_NE(node.rowgroup_cache()->Lookup(
-                ocs::RowGroupCacheKey{"d/f0", result->stats.object_version,
+                exec::RowGroupCacheKey{"d/f0", result->stats.object_version,
                                       0, 3}),
             nullptr);
 }

@@ -11,13 +11,20 @@
 //   * results are bit-identical to the unpruned path — including after
 //     object overwrites (stale cache → revalidation) and when the stats
 //     RPC is down entirely (errors → plan everything unpruned),
-//   * the cache's hit/miss/stale/error accounting is exact.
+//   * the cache's hit/miss/stale/error accounting is exact,
+//   * the one pruning check (format::ChunkMayMatch) is sound on NaN
+//     bounds and on int64 values beyond 2^53.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "common/metrics.h"
+#include "format/stats.h"
+#include "workloads/dataset.h"
 #include "workloads/laghos.h"
 #include "workloads/testbed.h"
 #include "workloads/tpch.h"
@@ -25,7 +32,11 @@
 namespace pocs {
 namespace {
 
+using columnar::CompareOp;
+using columnar::Datum;
 using columnar::TypeKind;
+using format::ChunkMayMatch;
+using format::ColumnStats;
 
 std::string Canonicalize(const columnar::RecordBatch& batch) {
   std::vector<std::string> rows;
@@ -236,6 +247,123 @@ TEST(SplitPruningTest, TpchOrderkeyPrefixPrunesTrailingFiles) {
   EXPECT_EQ(fast->metrics.splits_planned, 3u);
   EXPECT_GT(fast->metrics.splits_pruned, 0u);
   EXPECT_EQ(Canonicalize(*fast->table), Canonicalize(*reference->table));
+}
+
+// ---------------------------------------------------------------------------
+// sound statistics: NaN bounds and exact int64
+// ---------------------------------------------------------------------------
+
+ColumnStats Bounds(Datum min, Datum max) {
+  ColumnStats stats;
+  stats.min = std::move(min);
+  stats.max = std::move(max);
+  stats.row_count = 6;
+  return stats;
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// A chunk whose first value is NaN gets min = max = NaN from the writer;
+// NaN is unordered, so such bounds can never prove a range empty.
+TEST(ChunkMayMatchTest, NaNBoundsNeverPrune) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ColumnStats all_nan = Bounds(Datum::Float64(nan), Datum::Float64(nan));
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    EXPECT_TRUE(ChunkMayMatch(all_nan, {"x", op, Datum::Float64(0.5)}));
+  }
+  const ColumnStats nan_max = Bounds(Datum::Float64(1.0), Datum::Float64(nan));
+  EXPECT_TRUE(ChunkMayMatch(nan_max, {"x", CompareOp::kGt, Datum::Float64(5)}));
+  // Ordered bounds still prune.
+  const ColumnStats ordered = Bounds(Datum::Float64(1.0), Datum::Float64(2.0));
+  EXPECT_FALSE(ChunkMayMatch(ordered, {"x", CompareOp::kGt, Datum::Float64(5)}));
+}
+
+// int64 bounds compare with int64 literals exactly: through double,
+// 2^53 + 1 rounds to 2^53 and both directions go wrong.
+TEST(ChunkMayMatchTest, Int64BeyondTwo53ComparesExactly) {
+  const ColumnStats big = Bounds(Datum::Int64(1), Datum::Int64(kTwo53 + 1));
+  EXPECT_TRUE(ChunkMayMatch(big, {"big", CompareOp::kGt, Datum::Int64(kTwo53)}));
+  EXPECT_FALSE(
+      ChunkMayMatch(big, {"big", CompareOp::kGt, Datum::Int64(kTwo53 + 1)}));
+  const ColumnStats one = Bounds(Datum::Int64(kTwo53 + 1),
+                                 Datum::Int64(kTwo53 + 1));
+  EXPECT_FALSE(ChunkMayMatch(one, {"big", CompareOp::kEq, Datum::Int64(kTwo53)}));
+  EXPECT_FALSE(ChunkMayMatch(one, {"big", CompareOp::kLe, Datum::Int64(kTwo53)}));
+  EXPECT_TRUE(
+      ChunkMayMatch(one, {"big", CompareOp::kEq, Datum::Int64(kTwo53 + 1)}));
+
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const ColumnStats full = Bounds(Datum::Int64(kMin), Datum::Int64(kMax));
+  EXPECT_FALSE(ChunkMayMatch(full, {"big", CompareOp::kGt, Datum::Int64(kMax)}));
+  EXPECT_TRUE(ChunkMayMatch(full, {"big", CompareOp::kGe, Datum::Int64(kMax)}));
+  EXPECT_FALSE(ChunkMayMatch(full, {"big", CompareOp::kLt, Datum::Int64(kMin)}));
+  EXPECT_TRUE(ChunkMayMatch(full, {"big", CompareOp::kLe, Datum::Int64(kMin)}));
+}
+
+// The writer's min/max use the same exact order, so the bounds the check
+// reads are the true ones.
+TEST(ChunkMayMatchTest, WriterStatsKeepInt64BoundsExact) {
+  auto col = columnar::MakeColumn(TypeKind::kInt64);
+  col->AppendInt64(kTwo53);
+  col->AppendInt64(kTwo53 + 1);
+  col->AppendInt64(kTwo53 - 1);
+  format::StatsCollector collector(TypeKind::kInt64);
+  collector.Update(*col);
+  EXPECT_EQ(collector.stats().min.int64_value(), kTwo53 - 1);
+  EXPECT_EQ(collector.stats().max.int64_value(), kTwo53 + 1);
+
+  ColumnStats merged = collector.stats();
+  merged.Merge(Bounds(Datum::Int64(kTwo53 + 2), Datum::Int64(kTwo53 + 3)));
+  EXPECT_EQ(merged.max.int64_value(), kTwo53 + 3);
+}
+
+// The ROADMAP probe table adv(id, x, big) in one row group: NaN in row 0
+// of x, and a value just above 2^53 in big. Answers are hand-computed
+// under IEEE comparisons (any comparison with NaN is false).
+workloads::GeneratedDataset AdvDataset() {
+  auto schema = columnar::MakeSchema({{"id", TypeKind::kInt64},
+                                      {"x", TypeKind::kFloat64},
+                                      {"big", TypeKind::kInt64}});
+  auto id = columnar::MakeColumn(TypeKind::kInt64);
+  auto x = columnar::MakeColumn(TypeKind::kFloat64);
+  auto big = columnar::MakeColumn(TypeKind::kInt64);
+  const double xs[] = {std::numeric_limits<double>::quiet_NaN(), 1.0, -0.0,
+                       0.0, 0.25, 2.0};
+  const int64_t bigs[] = {1, kTwo53 + 1, 2, 3, 5, 7};
+  for (int i = 0; i < 6; ++i) {
+    id->AppendInt64(i);
+    x->AppendFloat64(xs[i]);
+    big->AppendInt64(bigs[i]);
+  }
+  workloads::DatasetBuilder builder("default", "adv", "adv", schema);
+  EXPECT_TRUE(builder
+                  .AddFile("adv-0.plite",
+                           {columnar::MakeBatch(schema, {id, x, big})},
+                           format::WriterOptions{})
+                  .ok());
+  return builder.Finish();
+}
+
+TEST(SoundPruningTest, AdversarialProbeAnswersOnHive) {
+  workloads::Testbed bed;
+  ASSERT_TRUE(bed.Ingest(AdvDataset()).ok());
+  const std::pair<const char*, size_t> cases[] = {
+      {"SELECT id FROM adv WHERE x > 0.5", 2},
+      {"SELECT id FROM adv WHERE x < 0.5", 3},
+      {"SELECT id FROM adv WHERE big > 9007199254740992", 1},
+      {"SELECT id FROM adv WHERE big = 9007199254740992", 0},
+  };
+  for (const auto& [sql, rows] : cases) {
+    auto result = bed.Run(sql, "hive");
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status();
+    EXPECT_EQ(result->table->num_rows(), rows) << sql;
+    // The one row group can hold a match for every probe (even the
+    // empty `=`, whose literal lies between the exact bounds), so
+    // statistics must keep it.
+    EXPECT_EQ(result->metrics.row_groups_skipped, 0u) << sql;
+  }
 }
 
 }  // namespace

@@ -56,6 +56,13 @@ Rules (each can be suppressed on a line with  // pocs-lint: allow(<rule>)):
                      Suppress with the allow comment where per-row access
                      is genuinely required (e.g. key equality probes on
                      hash collisions).
+  row-group-read     A FileReader::ReadRowGroup or ReadChunkPage call, or
+                     a DecodePage/DecodeDictionaryPage call, in a src/ TU
+                     outside src/format/ and src/exec/scan_source.cpp. Every
+                     path that reads row groups goes through
+                     exec::ScanSource, so each gets the same pruning,
+                     dictionary filter, bloom and cache (DESIGN.md §2); a
+                     private row-group loop silently misses them.
   partial-agg-merge-sync
                      Cross-file: every aggregate kind inside the
                      `// pocs-lint: begin/end partial-agg-whitelist`
@@ -340,6 +347,7 @@ def lint_file(path, rel_path, status_names, findings):
     check_unannotated_members(stripped, report)
     check_planning_data_rpc(stripped, rel_path, report)
     check_row_loop_in_hot_path(stripped, rel_path, report)
+    check_row_group_read(stripped, rel_path, report)
 
     # ---- ignored-status (needs statement joining) --------------------------
     joined = stripped
@@ -567,6 +575,30 @@ def check_row_loop_in_hot_path(stripped, rel_path, report):
                    f"per-row {g.group(1)}() in a loop on the execution "
                    "hot path; use the vectorized kernels "
                    "(columnar/kernels.h) or typed spans instead")
+
+
+# The one scan source and the format layer it reads through are the only
+# src/ TUs that may read row groups: whole (ReadRowGroup) or chunk by chunk
+# (ReadChunkPage, then DecodePage/DecodeDictionaryPage).
+ROW_GROUP_READ_ALLOWED_RE = re.compile(
+    r"^src/(?:format/[^/]+|exec/scan_source\.cpp)$")
+ROW_GROUP_READ_RE = re.compile(
+    r"(?:(?:\.|->)\s*(?:ReadRowGroup|ReadChunkPage)"
+    r"|\bDecode(?:Dictionary)?Page)\s*\(")
+
+
+def check_row_group_read(stripped, rel_path, report):
+    """row-group-read: flag row-group reads and chunk decodes in src/
+    outside the format layer and exec::ScanSource."""
+    rel = rel_path.replace(os.sep, "/")
+    if not rel.startswith("src/") or ROW_GROUP_READ_ALLOWED_RE.match(rel):
+        return
+    for m in ROW_GROUP_READ_RE.finditer(stripped):
+        line_no = 1 + stripped.count("\n", 0, m.start())
+        report(line_no, "row-group-read",
+               "row-group read outside the scan source; read row groups "
+               "through exec::ScanSource (exec/scan_source.h) so pruning, "
+               "the dictionary filter, the bloom and the cache apply")
 
 
 PARTIAL_AGG_WHITELIST_FILE = "src/connectors/ocs/ocs_connector.cpp"

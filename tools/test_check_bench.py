@@ -117,6 +117,37 @@ class CheckBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0)
         self.assertIn("not in baseline", result.stdout)
 
+    # bench_report emits every histogram's mean, 0 when it recorded
+    # nothing, so an operator kind that stops running is reported by its
+    # exact `.count`, never as a metric missing from the candidate.
+    HISTOGRAM = {
+        "process.exec.Fetch.seconds.count": ("exact", 3),
+        "process.exec.Fetch.seconds.mean_seconds": ("timing", 0.002),
+    }
+
+    def test_histogram_that_stops_recording_fails_on_count_only(self):
+        metrics = dict(self.BASE, **self.HISTOGRAM)
+        cand_metrics = dict(metrics)
+        cand_metrics["process.exec.Fetch.seconds.count"] = ("exact", 0)
+        cand_metrics["process.exec.Fetch.seconds.mean_seconds"] = (
+            "timing", 0.0)
+        base = self.write("base.json", make_report(metrics))
+        cand = self.write("cand.json", make_report(cand_metrics))
+        result = self.run_check(cand, base)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("process.exec.Fetch.seconds.count", result.stdout)
+        self.assertNotIn("missing from candidate", result.stdout)
+        self.assertNotIn("mean_seconds", result.stdout)
+
+    def test_empty_histogram_mean_matches_empty_baseline(self):
+        metrics = dict(self.BASE)
+        metrics["process.exec.Fetch.seconds.count"] = ("exact", 0)
+        metrics["process.exec.Fetch.seconds.mean_seconds"] = ("timing", 0.0)
+        base = self.write("base.json", make_report(metrics))
+        cand = self.write("cand.json", make_report(metrics))
+        result = self.run_check(cand, base)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
     def test_config_mismatch_fails(self):
         base = self.write("base.json", make_report(self.BASE, seed=42))
         cand = self.write("cand.json", make_report(self.BASE, seed=43))

@@ -482,6 +482,79 @@ class RowLoopInHotPathTest(LintRunner):
         self.assertEqual(result.stdout.count("row-loop-in-hot-path"), 1)
 
 
+class RowGroupReadTest(LintRunner):
+    """row-group-read: only src/format/ and exec::ScanSource may call
+    FileReader::ReadRowGroup/ReadChunkPage or decode a chunk page; every
+    other src/ TU reads row groups through the scan source."""
+
+    LOOP = ("Status f(const FileReader& reader) {\n"
+            "  for (size_t g = 0; g < reader.num_row_groups(); ++g) {\n"
+            "    auto batch = reader.ReadRowGroup(g, {0});\n"
+            "  }\n"
+            "  return Status::OK();\n"
+            "}\n")
+
+    def test_private_row_group_loop_fires(self):
+        self.write("src/connectors/hive/page_source.cpp", self.LOOP)
+        self.assert_finding(self.run_lint(), "row-group-read",
+                            "page_source.cpp")
+
+    def test_pointer_call_fires(self):
+        self.write("src/objectstore/select.cpp",
+                   "void f(std::shared_ptr<FileReader> reader) {\n"
+                   "  auto batch = reader->ReadRowGroup(0);\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-group-read", "select.cpp")
+
+    def test_chunk_page_loop_fires(self):
+        self.write("src/ocs/storage_node.cpp",
+                   "Status f(const FileReader& reader) {\n"
+                   "  auto page = reader.ReadChunkPage(0, 1);\n"
+                   "  return Status::OK();\n"
+                   "}\n")
+        self.assert_finding(self.run_lint(), "row-group-read",
+                            "storage_node.cpp")
+
+    def test_page_decode_fires(self):
+        self.write("src/connectors/hive/page_source.cpp",
+                   "void f(const Bytes& page, const Field& field) {\n"
+                   "  auto col = format::DecodePage(page, field, 10);\n"
+                   "  auto dict = format::DecodeDictionaryPage(page, field, 10);\n"
+                   "}\n")
+        result = self.run_lint()
+        self.assert_finding(result, "row-group-read", "page_source.cpp")
+        self.assertEqual(result.stdout.count("[row-group-read]"), 2)
+
+    def test_scan_source_and_format_are_allowed(self):
+        self.write("src/exec/scan_source.cpp", self.LOOP)
+        self.write("src/format/parquet_lite.cpp", self.LOOP)
+        self.assert_clean(self.run_lint())
+
+    def test_other_exec_tu_fires(self):
+        self.write("src/exec/plan_executor.cpp", self.LOOP)
+        self.assert_finding(self.run_lint(), "row-group-read",
+                            "plan_executor.cpp")
+
+    def test_tests_and_benches_are_not_covered(self):
+        self.write("tests/format_test.cpp", self.LOOP)
+        self.write("bench/decode.cpp", self.LOOP)
+        self.assert_clean(self.run_lint())
+
+    def test_mention_in_comment_is_clean(self):
+        self.write("src/ocs/node.cpp",
+                   "// Unlike reader.ReadRowGroup(g), the source prunes.\n"
+                   "void f() {}\n")
+        self.assert_clean(self.run_lint())
+
+    def test_suppression(self):
+        self.write("src/ocs/node.cpp",
+                   "void f(const FileReader& reader) {\n"
+                   "  // pocs-lint: allow(row-group-read)\n"
+                   "  auto batch = reader.ReadRowGroup(0);\n"
+                   "}\n")
+        self.assert_clean(self.run_lint())
+
+
 class PartialAggMergeSyncTest(LintRunner):
     """partial-agg-merge-sync: the connector's storage partial-agg
     whitelist must stay in lockstep with engine::FinalAggSpecs."""
